@@ -41,7 +41,6 @@ from .equilibrium import (
 )
 from .game import (
     TRepGame,
-    bipartite_expected_utilities,
     bipartite_utility,
     expected_utilities,
     realized_utilities,
@@ -55,7 +54,6 @@ from .pagerank import (
     build_designated_chain,
     clique_chain,
     contribution_matrix,
-    personalized,
     reputation_scores,
     stationary,
     stationary_oracle,
@@ -82,7 +80,6 @@ __all__ = [
     "best_response_closed_form",
     "best_response_numeric",
     "best_response_to_mass",
-    "bipartite_expected_utilities",
     "bipartite_utility",
     "build_designated_chain",
     "clique_chain",
@@ -102,7 +99,6 @@ __all__ = [
     "measure_epsilon_prime",
     "noisy_belief_gaussian",
     "noisy_belief_two_point",
-    "personalized",
     "realized_utilities",
     "reputation_scores",
     "run_bootstrap",

@@ -64,7 +64,6 @@ class BootstrapTrace:
     final_outcome: np.ndarray | None = None
     rho: np.ndarray | None = None
     committee: list[int] | None = None
-    iterations: int = 0
 
 
 def run_bootstrap(
@@ -88,7 +87,6 @@ def run_bootstrap(
     events: list[RoundEvent] = []
     restarts = 0
     for _ in range(m + 1):
-        trace.iterations += 1
         active = [j for j in range(m) if j not in excluded]
         if not active:
             break

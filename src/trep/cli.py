@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,9 @@ from .repgraph import Config, ParseError, load
 from .rng import substream
 
 DEFAULT_EPSILONS = [0.001, 0.005, 0.01, 0.02]
+# Trials are small NumPy calls that hold the interpreter lock, so a thread
+# pool measured slower than a plain loop; the flag stays for old scripts.
+PARALLEL_HELP = "accepted for compatibility and ignored; trials always run serially"
 
 
 def _fmt(value: float) -> str:
@@ -36,13 +38,6 @@ def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _run_jobs(fn, jobs, parallel: int):
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 def _load_scenario(args) -> tuple:
@@ -135,7 +130,7 @@ def cmd_noisy(args) -> int:
         return eps, report.epsilon_prime, report.bound
 
     jobs = [(i, t) for i in range(len(epsilons)) for t in range(args.trials)]
-    results = _run_jobs(one, jobs, args.parallel)
+    results = [one(job) for job in jobs]
     rows = [f"{_fmt(eps)},{_fmt(gain)},{_fmt(bound)}" for eps, gain, bound in results]
     _write_text(
         Path(args.out) / "noisy.csv", "epsilon,epsilon_prime,bound\n" + "\n".join(rows) + "\n"
@@ -190,7 +185,7 @@ def cmd_bootstrap(args) -> int:
         )
         return trace, row, majority
 
-    results = _run_jobs(one, list(range(args.trials)), args.parallel)
+    results = [one(trial) for trial in range(args.trials)]
     _write_text(Path(args.out) / "bootstrap.log", trace_event_log(results[0][0]))
     header = "trial,restarts,rounds,detected,majority,margin\n"
     _write_text(
@@ -245,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20, help="trials per noise level")
     p.add_argument("--p", type=float, default=0.0, help="per-entry failure probability of the noise model")
     p.add_argument("--delta", type=float, default=None, help="belief-mass drift for the decodability check")
-    p.add_argument("--parallel", type=int, default=0, help="worker threads (results are order-stable)")
+    p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
     p.set_defaults(func=cmd_noisy)
 
     p = commands.add_parser("bootstrap", help="simulate committee bootstrapping")
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=None, help="final committee pool size")
     p.add_argument("--fraction", type=float, default=0.9, help="fraction of the pool selected")
     p.add_argument("--trials", type=int, default=10, help="independent runs")
-    p.add_argument("--parallel", type=int, default=0, help="worker threads (results are order-stable)")
+    p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
     p.set_defaults(func=cmd_bootstrap)
     return parser
 

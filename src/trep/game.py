@@ -22,7 +22,7 @@ def _check_trust(trust: np.ndarray) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
     if trust.ndim != 1 or trust.size == 0:
         raise ValueError("trust must be a nonempty vector")
-    if np.any(trust < 0) or np.any(trust > 1):
+    if not np.all((trust >= 0) & (trust <= 1)):
         raise ValueError("trust values must lie in [0, 1]")
     if not np.any(trust > 0):
         raise ValueError("trust has no positive entry")
@@ -54,7 +54,6 @@ class TRepGame:
     m: int
     trust: np.ndarray
     config: Config
-    beliefs: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -64,12 +63,6 @@ class TRepGame:
         self.trust = _check_trust(self.trust)
         if self.trust.shape != (self.m,):
             raise ValueError(f"trust has shape {self.trust.shape}, expected ({self.m},)")
-        if self.beliefs is not None:
-            self.beliefs = np.asarray(self.beliefs, dtype=float)
-            if self.beliefs.shape != (self.n, self.m):
-                raise ValueError(
-                    f"beliefs have shape {self.beliefs.shape}, expected ({self.n}, {self.m})"
-                )
 
 
 def sample_nature(trust: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -117,24 +110,3 @@ def bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndar
     totals = own + opponent_mass
     shares = np.divide(own, totals, out=np.zeros_like(own), where=totals > 0)
     return float(shares @ trust)
-
-
-def bipartite_expected_utilities(profile: np.ndarray, trust: np.ndarray) -> np.ndarray:
-    """Expected utilities when no player endorses users (closed form).
-
-    Shortcut route for equilibrium checks; must agree with
-    expected_utilities() on any server-only profile.
-    """
-    profile = np.asarray(profile, dtype=float)
-    trust = _check_trust(trust)
-    n = profile.shape[0]
-    m = profile.shape[1] - n
-    validate_profile(profile, m, n)
-    if np.max(np.abs(profile[:, m:])) > PROFILE_TOL:
-        raise ValueError("profile endorses users; use expected_utilities instead")
-    server_mass = profile[:, :m]
-    totals = server_mass.sum(axis=0, keepdims=True)
-    shares = np.divide(
-        server_mass, totals, out=np.zeros_like(server_mass), where=totals > 0
-    )
-    return shares @ trust

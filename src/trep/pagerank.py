@@ -6,10 +6,8 @@ teleports to a uniformly random user with probability alpha; servers, which
 own no edges, always jump to a uniformly random user.  Reputation scores are
 the stationary endorsement mass received by each server, normalized.
 
-Personalized variants restart at a fixed source distribution over users
-instead of the uniform one, and per-tour counts rescale those visit rates by
-the regeneration rate so that one unit corresponds to one excursion from the
-source.
+Tour counts restart the walk at one fixed user instead of a uniform one and
+count the visits made during a single excursion from that user.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def _check_stochastic(chain: np.ndarray) -> None:
         raise ValueError(f"transition matrix must be square, got shape {chain.shape}")
     if np.any(chain < 0):
         raise ValueError("transition matrix has negative entries")
-    if np.max(np.abs(chain.sum(axis=1) - 1.0)) > 1e-9:
+    if not np.max(np.abs(chain.sum(axis=1) - 1.0)) <= 1e-9:
         raise ValueError("transition matrix rows must sum to 1")
 
 
@@ -136,72 +134,22 @@ def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
     return received / received.sum()
 
 
-def _restart_vector(graph: RepGraph, source) -> np.ndarray:
-    n, m = graph.n, graph.m
-    restart = np.zeros(m + n)
-    if np.ndim(source) == 0:
-        index = int(source)
-        if not 0 <= index < n:
-            raise ValueError(f"source user index {index} out of range 0..{n - 1}")
-        restart[m + index] = 1.0
-    else:
-        weights = np.asarray(source, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"source distribution has shape {weights.shape}, expected ({n},)")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("source distribution must be nonnegative and sum to 1")
-        restart[m:] = weights
-    return restart
-
-
-def personalized(graph: RepGraph, config: Config, source) -> StationaryDistribution:
-    """Stationary distribution of the walk restarting at the given source.
-
-    The source is a user index or a distribution over users.  The restart
-    vector doubles as the escape row for servers, so the uniform source
-    reproduces the designated walk exactly.
-    """
-    _require_valid(graph)
-    n, m = graph.n, graph.m
-    restart = _restart_vector(graph, source)
-    chain = np.empty((m + n, m + n))
-    chain[:m] = restart
-    chain[m:] = (1.0 - config.alpha) * graph.edges + config.alpha * restart
-    return _power_iterate(chain, restart.copy(), config)
-
-
 def tour_counts(graph: RepGraph, config: Config) -> np.ndarray:
     """Expected visits per excursion, for every source user at once.
 
     Row i holds, for each state, the expected number of visits during a
-    single excursion of the walk personalized at user i (the walk restarts
-    at i with probability alpha from users and certainly from servers).
-    Row i is the personalized stationary vector divided by its regeneration
-    rate alpha * (user mass) + (server mass).
+    single excursion of the walk restarted at user i (the excursion ends at
+    a restart, taken with probability alpha from users and certainly from
+    servers).  With E_u the user-to-user and E_s the user-to-server block,
+    user visits are the fundamental matrix N = (I - (1 - alpha) E_u)^-1 and
+    server visits are (1 - alpha) N E_s.  User rows of E sum to one, so
+    I - (1 - alpha) E_u is strictly diagonally dominant and never singular.
     """
     _require_valid(graph)
     n, m = graph.n, graph.m
-    alpha = config.alpha
-    edge_only = np.zeros((m + n, m + n))
-    edge_only[m:] = graph.edges
-    visits = np.zeros((n, m + n))
-    visits[:, m:] = np.eye(n)
-    rows = np.arange(n)
-    for _ in range(config.max_iters):
-        regen = alpha * visits[:, m:].sum(axis=1) + visits[:, :m].sum(axis=1)
-        nxt = (1.0 - alpha) * (visits @ edge_only)
-        nxt[rows, m + rows] += regen
-        residual = float(np.abs(nxt - visits).sum(axis=1).max())
-        visits = nxt
-        if residual <= config.tol:
-            break
-    else:
-        raise NonConvergence(
-            f"batched personalized walk residual {residual:.3e} above tolerance "
-            f"{config.tol:.3e} after {config.max_iters} iterations"
-        )
-    regen = alpha * visits[:, m:].sum(axis=1) + visits[:, :m].sum(axis=1)
-    return visits / regen[:, None]
+    keep = 1.0 - config.alpha
+    visits = np.linalg.solve(np.eye(n) - keep * graph.edges[:, m:], np.eye(n))
+    return np.hstack([keep * visits @ graph.edges[:, :m], visits])
 
 
 def contribution_matrix(graph: RepGraph, config: Config) -> np.ndarray:

@@ -41,7 +41,7 @@ class Config:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly between 0 and 1, got {self.alpha}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
@@ -88,7 +88,7 @@ def validate(graph: RepGraph) -> list[str]:
         total = row.sum()
         if total == 0.0:
             violations.append(f"row {i} is all zeros: every user must endorse someone")
-        elif abs(total - 1.0) > ROW_SUM_TOL:
+        elif not abs(total - 1.0) <= ROW_SUM_TOL:
             violations.append(f"row {i} sums to {total:.12g}, expected 1")
     if graph.trust is not None:
         trust = graph.trust

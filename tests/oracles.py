@@ -3,10 +3,14 @@
 These deliberately avoid the library's own solvers: best responses are
 recomputed with projected-gradient ascent and brute-force grid refinement so
 the exact waterfill solver in the package is checked against something that
-shares none of its code.
+shares none of its code.  Tour counts are rebuilt one source at a time from
+the explicit restarted chain and its dense least-squares stationary vector,
+which shares nothing with the fundamental-matrix solve.
 """
 
 import numpy as np
+
+from trep.pagerank import stationary_oracle
 
 
 def project_to_simplex(v):
@@ -87,3 +91,42 @@ def grid_best_response(trust, opponent_mass, passes=4, coarse=101):
         lo = np.maximum(0.0, np.array([best[0] - w1, best[1] - w2]))
         hi = np.minimum(1.0, np.array([best[0] + w1, best[1] + w2]))
     return best
+
+
+def bipartite_expected_utilities(profile, trust):
+    """Expected utilities of a server-only profile (E_u = 0) in closed form.
+
+    With no user endorsements an excursion visits at most one server, so a
+    user's share of a server's pot is its share of that server's endorsements.
+    """
+    profile = np.asarray(profile, dtype=float)
+    n = profile.shape[0]
+    m = profile.shape[1] - n
+    assert not np.any(profile[:, m:]), "profile endorses users"
+    server_mass = profile[:, :m]
+    totals = server_mass.sum(axis=0, keepdims=True)
+    shares = np.divide(server_mass, totals, out=np.zeros_like(server_mass), where=totals > 0)
+    return shares @ np.asarray(trust, dtype=float)
+
+
+def restarted_chain(edges, m, alpha, source):
+    """Transition matrix of the walk that restarts at one user.
+
+    Users follow their edges with probability 1 - alpha and restart at the
+    source with probability alpha; servers always restart.
+    """
+    n = edges.shape[0]
+    restart = np.zeros(m + n)
+    restart[m + source] = 1.0
+    chain = np.empty((m + n, m + n))
+    chain[:m] = restart
+    chain[m:] = (1.0 - alpha) * edges + alpha * restart
+    return chain
+
+
+def single_source_tour_counts(edges, m, alpha, source):
+    """Visits per excursion from one user: the restarted chain's stationary
+    vector divided by its regeneration rate (restarts per step)."""
+    pi = stationary_oracle(restarted_chain(edges, m, alpha, source)).pi
+    regen = alpha * pi[m:].sum() + pi[:m].sum()
+    return pi / regen

@@ -34,6 +34,14 @@ edge 2 3 0.5
 edge 2 4 0.5
 """
 
+NAN_EDGE = """trep v1
+users 2
+servers 2
+alpha 0.15
+edge 1 1 nan
+edge 2 2 1
+"""
+
 
 @pytest.fixture
 def scenario(tmp_path):
@@ -68,6 +76,20 @@ def test_decode_missing_file_exits_2(tmp_path, capsys):
     rc = main(["decode", str(tmp_path / "nope.trep"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err != ""
+
+
+def test_decode_nan_edge_weight_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.trep"
+    path.write_text(NAN_EDGE, encoding="utf-8")
+    rc = main(["decode", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "row 1 sums to nan" in capsys.readouterr().err
+
+
+def test_decode_nan_tol_exits_2(scenario, tmp_path, capsys):
+    rc = main(["decode", str(scenario), "--tol", "nan", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "tol must be positive" in capsys.readouterr().err
 
 
 def test_decode_all_untrusted_exits_1(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from trep.game import (
     TRepGame,
-    bipartite_expected_utilities,
     bipartite_utility,
     expected_utilities,
     realized_utilities,
@@ -12,6 +11,8 @@ from trep.game import (
 )
 from trep.repgraph import Config
 from trep.rng import substream
+
+from oracles import bipartite_expected_utilities
 
 CFG = Config()
 

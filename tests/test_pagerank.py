@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trep.pagerank import (
     AllServersUntrusted,
@@ -7,13 +9,14 @@ from trep.pagerank import (
     build_designated_chain,
     clique_chain,
     contribution_matrix,
-    personalized,
     reputation_scores,
     stationary,
     stationary_oracle,
     tour_counts,
 )
 from trep.repgraph import Config, RepGraph, from_strategies
+
+from oracles import single_source_tour_counts
 
 CFG = Config()
 
@@ -212,10 +215,15 @@ def test_transient_server_gets_zero_score():
 
 # ------------------------------------------------------------- personalized
 
+def personalized(graph, cfg, source):
+    """Stationary distribution of the walk restarted at one user."""
+    row = tour_counts(graph, cfg)[source]
+    return row / row.sum()
+
+
 def test_personalized_single_source_frozen():
     graph, cfg = two_users_one_server(alpha=0.2)
-    dist = personalized(graph, cfg, 0)
-    np.testing.assert_allclose(dist.pi, [4 / 9, 5 / 9, 0.0], atol=1e-11)
+    np.testing.assert_allclose(personalized(graph, cfg, 0), [4 / 9, 5 / 9, 0.0], atol=1e-11)
 
 
 def test_personalized_matches_dense_solve():
@@ -223,23 +231,7 @@ def test_personalized_matches_dense_solve():
     # Dense route: solve pi = pi M for the explicit restarted chain.
     M = np.array([[0.0, 1.0, 0.0], [0.8, 0.2, 0.0], [0.8, 0.2, 0.0]])
     pi = stationary_oracle(M).pi
-    np.testing.assert_allclose(personalized(graph, cfg, 0).pi, pi, atol=1e-11)
-
-
-def test_personalized_normalized_over_all_vertices():
-    rng = np.random.default_rng(9)
-    graph = random_graph(rng)
-    for s in range(graph.n):
-        assert personalized(graph, CFG, s).pi.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_personalized_uniform_source_equals_designated():
-    rng = np.random.default_rng(13)
-    graph = random_graph(rng)
-    uniform = np.full(graph.n, 1.0 / graph.n)
-    a = personalized(graph, CFG, uniform).pi
-    b = stationary(build_designated_chain(graph, CFG), CFG).pi
-    assert np.max(np.abs(a - b)) <= 1e-10
+    np.testing.assert_allclose(personalized(graph, cfg, 0), pi, atol=1e-11)
 
 
 def test_personalized_support_respects_reachability():
@@ -248,17 +240,9 @@ def test_personalized_support_respects_reachability():
     edges[1, 1] = 1.0        # user 2 endorses server 2 only
     edges[2, 3] = 1.0        # user 3 endorses user 2
     graph = RepGraph(n=3, m=2, edges=edges)
-    assert personalized(graph, CFG, 0).pi[0] > 0
-    assert personalized(graph, CFG, 1).pi[0] == pytest.approx(0.0, abs=1e-15)
-    assert personalized(graph, CFG, 2).pi[0] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_personalized_rejects_bad_source():
-    graph, cfg = two_users_one_server()
-    with pytest.raises(ValueError):
-        personalized(graph, cfg, 5)
-    with pytest.raises(ValueError):
-        personalized(graph, cfg, np.array([0.7, 0.7]))
+    assert personalized(graph, CFG, 0)[0] > 0
+    assert personalized(graph, CFG, 1)[0] == pytest.approx(0.0, abs=1e-15)
+    assert personalized(graph, CFG, 2)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ------------------------------------------------------------- contribution
@@ -317,17 +301,37 @@ def test_contribution_zero_column_for_unendorsed_server():
     np.testing.assert_array_equal(omega[:, 1], [0.0, 0.0])
 
 
-def test_tour_counts_match_single_runs():
-    # The batched iteration must agree with per-source personalized runs
-    # rescaled by their regeneration rates.
-    rng = np.random.default_rng(33)
-    graph = random_graph(rng, n=4, m=3)
-    counts = tour_counts(graph, CFG)
-    alpha = CFG.alpha
+@st.composite
+def walk_graphs(draw):
+    """Random graphs where some users endorse no server and some users are
+    endorsed by nobody, so no other source can reach them."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    weight = st.floats(0.0, 1.0, allow_subnormal=False)
+    edges = np.array(draw(st.lists(weight, min_size=n * (m + n), max_size=n * (m + n))))
+    edges = edges.reshape(n, m + n)
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    edges[np.array(draw(flags)), :m] = 0.0
+    edges[:, m:][:, np.array(draw(flags))] = 0.0
+    empty = edges.sum(axis=1) == 0.0
+    edges[empty, m + np.flatnonzero(empty)] = 1.0
+    edges /= edges.sum(axis=1, keepdims=True)
+    return RepGraph(n=n, m=m, edges=edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_graphs(), st.sampled_from([0.05, 0.15, 0.5]))
+def test_tour_counts_match_single_runs(graph, alpha):
+    # Each row must match the explicit chain restarted at that user, solved
+    # densely and rescaled by its regeneration rate.
+    cfg = Config(alpha=alpha)
+    counts = tour_counts(graph, cfg)
     for i in range(graph.n):
-        pi = personalized(graph, CFG, i).pi
-        regen = alpha * pi[graph.m :].sum() + pi[: graph.m].sum()
-        np.testing.assert_allclose(counts[i], pi / regen, atol=1e-9)
+        expected = single_source_tour_counts(graph.edges, graph.m, alpha, i)
+        np.testing.assert_allclose(counts[i], expected, rtol=1e-9, atol=1e-9)
+    # Every excursion ends exactly once: by a restart from a user, or at a server.
+    regen = alpha * counts[:, graph.m :].sum(axis=1) + counts[:, : graph.m].sum(axis=1)
+    np.testing.assert_allclose(regen, 1.0, atol=1e-12)
 
 
 def test_tour_counts_renewal_identity():
