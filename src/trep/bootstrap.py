@@ -44,13 +44,15 @@ class BootstrapConfig:
 
 @dataclass(frozen=True)
 class RoundEvent:
-    """One probing round: committee polled, fault seen, detection, restart."""
+    """One probing round: committee polled and the faulty member it exposed.
+
+    A culprit is the fault seen, the server detected and the cause of a
+    restart all at once; None means the round passed cleanly.
+    """
 
     round: int
     committee: tuple[int, ...]
-    fault: int | None
-    detect: int | None
-    restart: bool
+    culprit: int | None
 
 
 @dataclass
@@ -97,15 +99,7 @@ def run_bootstrap(
             committee = tuple(active[start : start + bcfg.committee_size])
             faulty = [j for j in committee if honest[j] == 0 and fault_round[j] <= t]
             culprit = min(faulty) if faulty else None
-            events.append(
-                RoundEvent(
-                    round=t,
-                    committee=committee,
-                    fault=culprit,
-                    detect=culprit,
-                    restart=culprit is not None,
-                )
-            )
+            events.append(RoundEvent(round=t, committee=committee, culprit=culprit))
             if culprit is not None:
                 excluded.add(culprit)
                 restarts += 1
@@ -161,11 +155,10 @@ def trace_event_log(trace: BootstrapTrace) -> str:
     lines = []
     for event in trace.events:
         committee = ",".join(str(j + 1) for j in event.committee)
-        fault = "none" if event.fault is None else str(event.fault + 1)
-        detect = "none" if event.detect is None else str(event.detect + 1)
-        restart = "true" if event.restart else "false"
-        lines.append(
-            f"round {event.round} committee {committee} "
-            f"fault {fault} detect {detect} restart {restart}"
-        )
+        if event.culprit is None:
+            outcome = "fault none detect none restart false"
+        else:
+            culprit = event.culprit + 1
+            outcome = f"fault {culprit} detect {culprit} restart true"
+        lines.append(f"round {event.round} committee {committee} {outcome}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -82,9 +82,7 @@ def cmd_nash(args) -> int:
             scenario = GameScenario(
                 kind="hierarchy", trust=trust, n=n, k=args.k, fresh_weights=weights
             )
-            gains = hierarchy_best_response_gains(
-                scenario, cfg, rng=substream(args.seed, "gains", draw)
-            )
+            gains = hierarchy_best_response_gains(scenario, cfg)
             rho = decode(truth_telling_profile(scenario), cfg).rho
             if reference is None:
                 reference = rho
@@ -103,7 +101,7 @@ def cmd_nash(args) -> int:
         trust, n, cfg, probes=args.trials, rng=substream(args.seed, "probes")
     )
     rows = [
-        f"{i + 1},{_fmt(report.utilities[i])},{_fmt(report.gains[i])}" for i in range(n)
+        f"{i + 1},{_fmt(report.utilities[i])},{_fmt(report.epsilon_prime)}" for i in range(n)
     ]
     text = "player,utility,gain\n" + "\n".join(rows) + "\n"
     _write_text(Path(args.out) / "nash.csv", text)

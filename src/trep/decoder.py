@@ -16,6 +16,7 @@ import numpy as np
 from .equilibrium import GameScenario, truth_telling_profile
 from .pagerank import reputation_scores
 from .repgraph import Config, from_strategies
+from .rng import substream
 
 
 @dataclass
@@ -168,7 +169,7 @@ def f2_check(
     threshold = (epsilon + delta * nr.max()) / (total - delta)
     q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
     bound = max(0.0, 1.0 - m * p - q)
-    rng = rng or np.random.default_rng(0)
+    rng = rng or substream(0, "f2")
     errors = np.empty(trials)
     for t in range(trials):
         belief = generator(trust, epsilon, rng)
@@ -204,7 +205,7 @@ def hoeffding_check(
     if trials < 1:
         raise ValueError("need at least one trial")
     q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
-    rng = rng or np.random.default_rng(0)
+    rng = rng or substream(0, "hoeffding")
     total = trust.sum()
     hits = 0
     for _ in range(trials):

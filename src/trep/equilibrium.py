@@ -101,8 +101,7 @@ class EquilibriumReport:
     """Outcome of an equilibrium verification run."""
 
     profile: np.ndarray
-    best_responses: np.ndarray
-    gains: np.ndarray
+    best_response: np.ndarray
     epsilon_prime: float
     closed_form_deviation: float
     utilities: np.ndarray
@@ -260,8 +259,7 @@ def verify_unique_nash(
         probe_min = min(probe_min, bipartite_utility(nr, opponents, ratings))
     return EquilibriumReport(
         profile=_bipartite_profile(nr, n),
-        best_responses=np.tile(response, (n, 1)),
-        gains=np.full(n, gain),
+        best_response=response,
         epsilon_prime=gain,
         closed_form_deviation=deviation,
         utilities=np.full(n, base),
@@ -307,8 +305,7 @@ def measure_epsilon_prime(scenario: GameScenario, config: Config | None = None) 
             bound *= (1 + eps) / (1 - eps)
     return EquilibriumReport(
         profile=_bipartite_profile(nr_belief, n),
-        best_responses=np.tile(response, (n, 1)),
-        gains=np.full(n, gain),
+        best_response=response,
         epsilon_prime=gain,
         closed_form_deviation=deviation,
         utilities=np.full(n, base),
@@ -317,92 +314,58 @@ def measure_epsilon_prime(scenario: GameScenario, config: Config | None = None) 
     )
 
 
-def _fit_opponent_mass(
-    profile: np.ndarray, player: int, ratings: np.ndarray, cfg: Config
-) -> np.ndarray | None:
-    """Estimate the effective opponent mass seen by one established player.
+def _server_only_reduction(
+    profile: np.ndarray, m: int, k: int, cfg: Config
+) -> tuple[np.ndarray, np.ndarray]:
+    """Visit totals and effective opponent masses of the established players.
 
-    On hierarchy profiles the per-server visit totals are affine in the
-    player's own allocation, D_j(x) = c x_j + d_j; two evaluations identify
-    c and d, and d / c acts as the opponent mass in the reduced problem.
+    With N the fundamental matrix of tour_counts, v_t = sum_i N[i, t] counts
+    the visits to user t over all sources, and server j receives
+    (1 - alpha) sum_t v_t E_s[t, j] visits.  An established player p owns no
+    user edges, so N does not depend on p's server row x, and p's expected
+    utility is exactly bipartite_utility(x, b_p, R) / v_p with opponent mass
+    b_p = sum_{t != p} v_t E_s[t, :] / v_p.
     """
     n = profile.shape[0]
-    m = ratings.size
-    base_row = profile[player, :m]
-    probe_row = base_row + 0.4 * np.eye(m)[np.argmax(base_row)]
-    probe_row = probe_row / probe_row.sum()
-    if np.max(np.abs(probe_row - base_row)) < 1e-9:
-        return None
-    totals0 = tour_counts(from_strategies(profile, m, n), cfg)[:, :m].sum(axis=0)
-    probed = profile.copy()
-    probed[player, :m] = probe_row
-    probed[player, m:] = 0.0
-    totals1 = tour_counts(from_strategies(probed, m, n), cfg)[:, :m].sum(axis=0)
-    delta = probe_row - base_row
-    usable = np.abs(delta) > 1e-9
-    if not usable.any():
-        return None
-    slopes = (totals1[usable] - totals0[usable]) / delta[usable]
-    slope = float(np.median(slopes))
-    if slope <= 0:
-        return None
-    offsets = np.maximum(totals0 - slope * base_row, 0.0)
-    return offsets / slope
+    visits = tour_counts(from_strategies(profile, m, n), cfg)[:, m:].sum(axis=0)
+    masses = np.empty((k, m))
+    for player in range(k):
+        others = np.arange(n) != player
+        masses[player] = visits[others] @ profile[others, :m] / visits[player]
+    return visits[:k], masses
 
 
 def hierarchy_best_response_gains(
-    scenario: GameScenario,
-    config: Config | None = None,
-    rng: np.random.Generator | None = None,
-    probes: int = 3,
+    scenario: GameScenario, config: Config | None = None
 ) -> np.ndarray:
     """Best-response gains of the established players in a hierarchy profile.
 
-    Gains are measured against real expected utilities: a fitted reduced
-    problem proposes one candidate deviation, and random, structured, and
-    user-endorsing deviations are evaluated alongside it.  At the
+    The best server-only deviation is exact: it solves the reduced problem of
+    _server_only_reduction with best_response_to_mass.  Deviations that also
+    endorse users are covered by a single probe row, evaluated with the real
+    expected utilities, so that part of each gain is a lower bound.  At the
     proportional-to-trust profile all gains should vanish regardless of how
     the fresh players split their endorsements.
     """
     if scenario.kind != "hierarchy":
         raise ValueError("hierarchy gains are measured on hierarchy scenarios")
     cfg = config or Config()
-    rng = rng or substream(0, "hierarchy-gains")
     profile = truth_telling_profile(scenario)
     ratings = scenario.trust
-    n, m, k = scenario.n, ratings.size, scenario.k
+    m, k = ratings.size, scenario.k
     nr = _normalize(ratings)
     base = expected_utilities(profile, ratings, cfg)
+    visits, masses = _server_only_reduction(profile, m, k, cfg)
     gains = np.zeros(k)
     for player in range(k):
-        candidates: list[np.ndarray] = []
-        fitted_mass = _fit_opponent_mass(profile, player, ratings, cfg)
-        if fitted_mass is not None:
-            candidates.append(best_response_to_mass(ratings, fitted_mass))
-        for _ in range(probes):
-            candidates.append(rng.dirichlet(np.ones(m)))
-        rich, poor = int(np.argmax(nr)), int(np.argmin(nr))
-        if rich != poor:
-            for src, dst in ((rich, poor), (poor, rich)):
-                shifted = nr.copy()
-                moved = min(0.1, shifted[src])
-                shifted[src] -= moved
-                shifted[dst] += moved
-                candidates.append(shifted)
+        response = best_response_to_mass(ratings, masses[player])
+        best_utility = bipartite_utility(response, masses[player], ratings) / visits[player]
         # deviation that also endorses the other established players
-        full_row = np.zeros(m + n)
-        full_row[:m] = 0.8 * nr
+        trial = profile.copy()
+        trial[player] = 0.0
+        trial[player, :m] = 0.8 * nr
         peers = [m + t for t in range(k) if t != player] or [m + t for t in range(k)]
-        full_row[peers] = 0.2 / len(peers)
-        best_utility = -np.inf
-        for candidate in candidates + [full_row]:
-            trial = profile.copy()
-            if candidate.size == m:
-                trial[player, :m] = candidate
-                trial[player, m:] = 0.0
-            else:
-                trial[player] = candidate
-            utility = expected_utilities(trial, ratings, cfg)[player]
-            best_utility = max(best_utility, utility)
+        trial[player, peers] = 0.2 / len(peers)
+        best_utility = max(best_utility, expected_utilities(trial, ratings, cfg)[player])
         gains[player] = max(0.0, best_utility - base[player])
     return gains

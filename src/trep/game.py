@@ -37,10 +37,10 @@ def validate_profile(profile: np.ndarray, m: int, n: int) -> None:
             f"profile shape {profile.shape} does not match n={n}, m={m} "
             f"(expected {(n, m + n)})"
         )
-    if np.any(profile < 0):
+    if not np.all(profile >= 0):
         raise ValueError("strategy weights must be nonnegative")
     sums = profile.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > PROFILE_TOL)[0]
+    bad = np.where(~(np.abs(sums - 1.0) <= PROFILE_TOL))[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"strategy row {i + 1} sums to {sums[i]:.12g}, expected 1")

@@ -43,7 +43,7 @@ def test_all_honest_completes_without_restart():
     # 5 nodes in committees of 2 -> 3 blocks; the schedule runs lam + blocks - 1
     # rounds so even a node that faults at round lam is observed afterwards
     assert len(trace.events) == 6 + 3 - 1
-    assert all(not e.restart for e in trace.events)
+    assert all(e.culprit is None for e in trace.events)
 
 
 def test_committee_blocks_cycle_lexicographically():
@@ -84,7 +84,7 @@ def test_detection_is_lexicographic_within_committee():
     profile = truthful_profile([0.5, 0.5, 0.9, 0.9], n=3)
     bcfg = BootstrapConfig(lam=1, committee_size=4, ell=4, fraction=1.0)
     trace = run_bootstrap(game, profile, bcfg, substream(55, "boot"))
-    detects = [e.detect for e in trace.events if e.detect is not None]
+    detects = [e.culprit for e in trace.events if e.culprit is not None]
     assert detects == [0, 1]
     assert trace.detected == (0, 1)
     assert trace.restarts == 2

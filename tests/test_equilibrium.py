@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
     GameScenario,
+    _server_only_reduction,
     best_response_closed_form,
     best_response_numeric,
     best_response_to_mass,
@@ -13,9 +16,8 @@ from trep.equilibrium import (
     truth_telling_profile,
     verify_unique_nash,
 )
-from trep.game import bipartite_utility
+from trep.game import bipartite_utility, expected_utilities
 from trep.repgraph import Config
-from trep.rng import substream
 
 from oracles import grid_best_response, pg_best_response, share_utility
 
@@ -276,7 +278,7 @@ def test_epsilon_prime_bound_formula():
 def test_hierarchy_gains_vanish():
     trust = np.array([0.6, 0.3, 0.3])
     sc = GameScenario(kind="hierarchy", trust=trust, n=4, k=2)
-    gains = hierarchy_best_response_gains(sc, CFG, rng=substream(21, "hier"))
+    gains = hierarchy_best_response_gains(sc, CFG)
     assert gains.shape == (2,)
     assert np.all(gains <= 1e-8)
 
@@ -288,7 +290,7 @@ def test_hierarchy_gains_invariant_across_fresh_draws():
     for d in range(5):
         w = rng.dirichlet(np.ones(2), size=2)
         sc = GameScenario(kind="hierarchy", trust=trust, n=4, k=2, fresh_weights=w)
-        gains = hierarchy_best_response_gains(sc, CFG, rng=substream(23, "hier", d))
+        gains = hierarchy_best_response_gains(sc, CFG)
         seen.append(gains.max())
     assert np.ptp(seen) <= 1e-8
 
@@ -296,6 +298,56 @@ def test_hierarchy_gains_invariant_across_fresh_draws():
 def test_hierarchy_single_established_player():
     trust = np.array([0.5, 0.5])
     sc = GameScenario(kind="hierarchy", trust=trust, n=3, k=1)
-    gains = hierarchy_best_response_gains(sc, CFG, rng=substream(24, "hier"))
+    gains = hierarchy_best_response_gains(sc, CFG)
     assert gains.shape == (1,)
     assert np.all(gains <= 1e-8)
+
+
+WEIGHT = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+def _distributions(draw, rows, size):
+    """Random rows on the simplex; some entries are zero, all-zero rows are uniform."""
+    values = np.array(draw(st.lists(WEIGHT, min_size=rows * size, max_size=rows * size)))
+    values = values.reshape(rows, size)
+    values[values.sum(axis=1) == 0.0] = 1.0
+    return values / values.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def hierarchy_cases(draw):
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 1))
+    m = draw(st.integers(2, 6))
+    trust = np.array(draw(st.lists(WEIGHT, min_size=m, max_size=m)))
+    assume(trust.any())
+    scenario = GameScenario(
+        kind="hierarchy", trust=trust, n=n, k=k, fresh_weights=_distributions(draw, n - k, k)
+    )
+    alpha = draw(st.sampled_from([0.05, 0.15, 0.5]))
+    return scenario, Config(alpha=alpha), _distributions(draw, 3, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hierarchy_cases())
+def test_server_only_reduction_matches_expected_utilities(case):
+    # An established player's utility over its own server row is
+    # bipartite_utility(x, b_p, R) / v_p, so the best response to b_p must beat
+    # every server-only row under the real expected utilities.
+    scenario, cfg, rows = case
+    profile = truth_telling_profile(scenario)
+    trust, k = scenario.trust, scenario.k
+    m = trust.size
+    visits, masses = _server_only_reduction(profile, m, k, cfg)
+    for player in range(k):
+
+        def utility(row):
+            trial = profile.copy()
+            trial[player, :m] = row
+            return expected_utilities(trial, trust, cfg)[player]
+
+        for row in rows:
+            reduced = bipartite_utility(row, masses[player], trust) / visits[player]
+            assert abs(reduced - utility(row)) <= 1e-12
+        best = utility(best_response_to_mass(trust, masses[player]))
+        assert all(best >= utility(row) - 1e-12 for row in rows)

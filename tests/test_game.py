@@ -198,6 +198,13 @@ def test_validate_profile():
         validate_profile(bad, m=2, n=2)
 
 
+def test_validate_profile_rejects_nan():
+    with pytest.raises(ValueError):
+        validate_profile(np.array([[np.nan, 0, 1, 0], [1, 0, 0, 0]]), m=2, n=2)
+    with pytest.raises(ValueError):
+        validate_profile(np.array([[0.5, 0.5, 0, 0], [1, np.nan, 0, 0]]), m=2, n=2)
+
+
 def test_trep_game_validation():
     TRepGame(n=2, m=2, trust=np.array([0.5, 0.5]), config=CFG)
     with pytest.raises(ValueError):
