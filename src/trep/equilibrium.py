@@ -157,7 +157,8 @@ def best_response_to_mass(
         return allocation
 
     order = contested[np.argsort(-(ratings[contested] / mass[contested]), kind="stable")]
-    sqrt_gain = np.sqrt(ratings[order] * mass[order])
+    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(mass[order])
     prefix_gain = np.cumsum(sqrt_gain)
     prefix_mass = np.cumsum(mass[order])
     best = None
@@ -165,7 +166,7 @@ def best_response_to_mass(
     for size in range(1, order.size + 1):
         sqrt_level = prefix_gain[size - 1] / (budget + prefix_mass[size - 1])
         active = order[:size]
-        spread = np.maximum(np.sqrt(ratings[active] * mass[active]) / sqrt_level - mass[active], 0.0)
+        spread = np.maximum(sqrt_gain[:size] / sqrt_level - mass[active], 0.0)
         total = spread.sum()
         if total <= 0:
             continue

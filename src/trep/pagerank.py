@@ -75,8 +75,11 @@ def clique_chain(ratings: np.ndarray) -> np.ndarray:
     return np.tile(row, (ratings.size, 1))
 
 
-def _power_iterate(chain: np.ndarray, start: np.ndarray, config: Config) -> StationaryDistribution:
-    pi = start
+def stationary(chain: np.ndarray, config: Config) -> StationaryDistribution:
+    """Stationary distribution by power iteration from the uniform vector."""
+    chain = np.asarray(chain, dtype=float)
+    _check_stochastic(chain)
+    pi = np.full(chain.shape[0], 1.0 / chain.shape[0])
     residual = np.inf
     for iteration in range(1, config.max_iters + 1):
         nxt = pi @ chain
@@ -88,14 +91,6 @@ def _power_iterate(chain: np.ndarray, start: np.ndarray, config: Config) -> Stat
         f"residual {residual:.3e} above tolerance {config.tol:.3e} "
         f"after {config.max_iters} iterations"
     )
-
-
-def stationary(chain: np.ndarray, config: Config) -> StationaryDistribution:
-    """Stationary distribution by power iteration from the uniform vector."""
-    chain = np.asarray(chain, dtype=float)
-    _check_stochastic(chain)
-    start = np.full(chain.shape[0], 1.0 / chain.shape[0])
-    return _power_iterate(chain, start, config)
 
 
 def stationary_oracle(chain: np.ndarray) -> StationaryDistribution:
@@ -124,11 +119,26 @@ def stationary_oracle(chain: np.ndarray) -> StationaryDistribution:
     return StationaryDistribution(pi, 0, residual)
 
 
+def _user_chain(graph: RepGraph, config: Config) -> np.ndarray:
+    keep = 1.0 - config.alpha
+    server_mass = graph.edges[:, : graph.m].sum(axis=1)
+    chain = keep * graph.edges[:, graph.m :]
+    chain += ((config.alpha + keep * server_mass) / graph.n)[:, None]
+    return chain
+
+
 def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
-    """Normalized stationary endorsement mass received by each server."""
-    chain = build_designated_chain(graph, config)
-    pi = stationary(chain, config).pi
-    received = graph.edges[:, : graph.m].T @ pi[graph.m :]
+    """Normalized stationary endorsement mass received by each server.
+
+    The dangling servers are eliminated: the users' stationary mass pi_U is
+    that of the n x n stochastic complement of the user block,
+        P_U = (1 - alpha) E_u + ((alpha + (1 - alpha) s) / n) 1^T,  s = E_s 1,
+    whose row i sums to (1 - alpha)(1 - s_i) + alpha + (1 - alpha) s_i = 1.
+    The scores are E_s^T pi_U, normalized.
+    """
+    _require_valid(graph)
+    pi = stationary(_user_chain(graph, config), config).pi
+    received = graph.edges[:, : graph.m].T @ pi
     if not np.any(received > 0):
         raise AllServersUntrusted("no server receives any endorsement mass")
     return received / received.sum()

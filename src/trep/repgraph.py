@@ -80,16 +80,17 @@ def validate(graph: RepGraph) -> list[str]:
             f"(expected {(n, m + n)})"
         )
         return violations
-    for i, row in enumerate(edges, start=1):
-        if np.any(row < 0):
-            j = int(np.argmin(row))
-            violations.append(f"row {i} column {j + 1}: negative weight {row[j]:.12g}")
-            continue
-        total = row.sum()
-        if total == 0.0:
-            violations.append(f"row {i} is all zeros: every user must endorse someone")
-        elif not abs(total - 1.0) <= ROW_SUM_TOL:
-            violations.append(f"row {i} sums to {total:.12g}, expected 1")
+    negative = np.any(edges < 0, axis=1)
+    totals = edges.sum(axis=1)
+    bad_sum = ~(np.abs(totals - 1.0) <= ROW_SUM_TOL)  # negated so NaN rows are flagged
+    for i in np.flatnonzero(negative | bad_sum):
+        if negative[i]:
+            j = int(np.argmin(edges[i]))
+            violations.append(f"row {i + 1} column {j + 1}: negative weight {edges[i, j]:.12g}")
+        elif totals[i] == 0.0:
+            violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
+        else:
+            violations.append(f"row {i + 1} sums to {totals[i]:.12g}, expected 1")
     if graph.trust is not None:
         trust = graph.trust
         if trust.shape != (m,):

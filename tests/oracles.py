@@ -5,7 +5,9 @@ recomputed with projected-gradient ascent and brute-force grid refinement so
 the exact waterfill solver in the package is checked against something that
 shares none of its code.  Tour counts are rebuilt one source at a time from
 the explicit restarted chain and its dense least-squares stationary vector,
-which shares nothing with the fundamental-matrix solve.
+which shares nothing with the fundamental-matrix solve.  Scores are checked
+against one dense linear solve on the user block, which shares nothing with
+the power iteration.
 """
 
 import numpy as np
@@ -130,3 +132,31 @@ def single_source_tour_counts(edges, m, alpha, source):
     pi = stationary_oracle(restarted_chain(edges, m, alpha, source)).pi
     regen = alpha * pi[m:].sum() + pi[:m].sum()
     return pi / regen
+
+
+def designated_user_mass(edges, m, alpha):
+    """Users' stationary mass in the designated walk, up to scale.
+
+    Solves (I - (1 - alpha) E_u)^T x = 1: a uniform restart, and every
+    server jump, lands on each user with the same probability, so x is the
+    expected visits to each user per unit of restart mass.
+    """
+    n = edges.shape[0]
+    system = np.eye(n) - (1.0 - alpha) * np.asarray(edges, dtype=float)[:, m:]
+    return np.linalg.solve(system.T, np.ones(n))
+
+
+def row_violations(edges):
+    """Row messages of repgraph.validate, found one row at a time."""
+    violations = []
+    for i, row in enumerate(edges, start=1):
+        if np.any(row < 0):
+            j = int(np.argmin(row))
+            violations.append(f"row {i} column {j + 1}: negative weight {row[j]:.12g}")
+            continue
+        total = row.sum()
+        if total == 0.0:
+            violations.append(f"row {i} is all zeros: every user must endorse someone")
+        elif not abs(total - 1.0) <= 1e-12:
+            violations.append(f"row {i} sums to {total:.12g}, expected 1")
+    return violations

@@ -43,6 +43,19 @@ edge 2 2 1
 """
 
 
+USER_EDGES = """trep v1
+users 3
+servers 2
+alpha 0.15
+edge 1 1 0.5
+edge 1 4 0.5
+edge 2 2 0.25
+edge 2 5 0.75
+edge 3 1 0.2
+edge 3 3 0.8
+"""
+
+
 @pytest.fixture
 def scenario(tmp_path):
     path = tmp_path / "scenario.trep"
@@ -90,6 +103,16 @@ def test_decode_nan_tol_exits_2(scenario, tmp_path, capsys):
     rc = main(["decode", str(scenario), "--tol", "nan", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_decode_iteration_budget_exhausted_exits_1(tmp_path, capsys):
+    path = tmp_path / "user_edges.trep"
+    path.write_text(USER_EDGES, encoding="utf-8")
+    assert main(["decode", str(path), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    rc = main(["decode", str(path), "--max-iters", "1", "--tol", "1e-15", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "residual" in capsys.readouterr().err
 
 
 def test_decode_all_untrusted_exits_1(tmp_path, capsys):

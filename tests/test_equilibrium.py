@@ -136,6 +136,16 @@ def test_best_response_ignores_worthless_server():
     assert x[1] == pytest.approx(1.0)
 
 
+def test_best_response_survives_underflowing_products():
+    # R_j * b_j underflows to 0 here; the allocation does not depend on the
+    # scale of R, so it must equal the response for ratings [1, 1].
+    tiny = np.array([1e-200, 1e-200])
+    x = best_response_to_mass(tiny, tiny)
+    assert np.all(np.isfinite(x))
+    assert x.sum() == pytest.approx(1.0)
+    np.testing.assert_allclose(x, best_response_to_mass(np.array([1.0, 1.0]), tiny), rtol=1e-12)
+
+
 def test_best_response_numeric_rejects_nonbipartite_opponents():
     profile = np.zeros((2, 4))
     profile[0, :2] = 0.5

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from trep.pagerank import (
     AllServersUntrusted,
     NonConvergence,
+    _user_chain,
     build_designated_chain,
     clique_chain,
     contribution_matrix,
@@ -16,7 +17,7 @@ from trep.pagerank import (
 )
 from trep.repgraph import Config, RepGraph, from_strategies
 
-from oracles import single_source_tour_counts
+from oracles import designated_user_mass, single_source_tour_counts
 
 CFG = Config()
 
@@ -302,21 +303,53 @@ def test_contribution_zero_column_for_unendorsed_server():
 
 
 @st.composite
-def walk_graphs(draw):
-    """Random graphs where some users endorse no server and some users are
-    endorsed by nobody, so no other source can reach them."""
-    n = draw(st.integers(2, 6))
-    m = draw(st.integers(1, 4))
+def walk_graphs(draw, max_n=6, max_m=4):
+    """Random graphs where some users endorse no server, some endorse no user,
+    and some users are endorsed by nobody, so no other source can reach them."""
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(1, max_m))
     weight = st.floats(0.0, 1.0, allow_subnormal=False)
     edges = np.array(draw(st.lists(weight, min_size=n * (m + n), max_size=n * (m + n))))
     edges = edges.reshape(n, m + n)
     flags = st.lists(st.booleans(), min_size=n, max_size=n)
     edges[np.array(draw(flags)), :m] = 0.0
+    edges[np.array(draw(flags)), m:] = 0.0
     edges[:, m:][:, np.array(draw(flags))] = 0.0
     empty = edges.sum(axis=1) == 0.0
     edges[empty, m + np.flatnonzero(empty)] = 1.0
     edges /= edges.sum(axis=1, keepdims=True)
     return RepGraph(n=n, m=m, edges=edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs(max_n=12, max_m=6), st.sampled_from([0.05, 0.15, 0.5]))
+def test_reputation_scores_match_full_chain(graph, alpha):
+    # Scores from the n-state user chain must equal those of a dense
+    # user-block solve and those read off the full (m+n)-state chain.  The
+    # power loop stops on its step size, and its error can be (1 - alpha) /
+    # alpha times that (19x at alpha = 0.05, on users that endorse only
+    # themselves), so tol is set below the 1e-12 compared here.
+    cfg = Config(alpha=alpha, tol=1e-14)
+    m = graph.m
+    server_edges = graph.edges[:, :m]
+    if not server_edges.any():
+        with pytest.raises(AllServersUntrusted):
+            reputation_scores(graph, cfg)
+        return
+    full = build_designated_chain(graph, cfg)
+    rho = reputation_scores(graph, cfg)
+    received = server_edges.T @ designated_user_mass(graph.edges, m, alpha)
+    np.testing.assert_allclose(rho, received / received.sum(), rtol=0, atol=1e-12)
+    # Compared on the full chain's scale: the least-squares oracle resolves
+    # each entry to ~1e-16, so its server mass cannot be renormalized when
+    # the servers hold almost none of it (weights like 1e-230).
+    server_pi = stationary_oracle(full).pi[:m]
+    np.testing.assert_allclose(rho * server_pi.sum(), server_pi, rtol=0, atol=1e-12)
+    # Servers receive (1 - alpha) E_s^T pi_U; the lifted vector is stationary.
+    pi_users = stationary(_user_chain(graph, cfg), cfg).pi
+    lifted = np.concatenate([(1.0 - alpha) * server_edges.T @ pi_users, pi_users])
+    lifted /= lifted.sum()
+    assert np.abs(lifted @ full - lifted).sum() <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)

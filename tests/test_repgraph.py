@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from trep.repgraph import Config, ParseError, RepGraph, from_strategies, load, save, validate
 
+from oracles import row_violations
+
 
 def bipartite_graph(n=2, m=2, row=(0.5, 0.5)):
     edges = np.zeros((n, m + n))
@@ -36,6 +38,38 @@ def test_validate_reports_all_zero_row():
     g = bipartite_graph()
     g.edges[1, :] = 0.0
     assert any("row 2" in v for v in validate(g))
+
+
+def test_validate_reports_every_bad_row_in_order():
+    edges = np.array([
+        [0.5, -0.25, 0.75, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.25, 0.0, 0.5, 0.0, 0.0, 0.0],  # valid
+        [0.5, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0],
+        [np.nan, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0],
+    ])
+    assert validate(RepGraph(n=5, m=2, edges=edges)) == [
+        "row 1 column 2: negative weight -0.25",
+        "row 2 is all zeros: every user must endorse someone",
+        "row 4 sums to 1.25, expected 1",
+        "row 5 sums to nan, expected 1",
+    ]
+    # The whole-matrix checks report what a row-by-row loop reports.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        edges = rng.dirichlet(np.ones(m + n), size=n)
+        for i in rng.integers(0, n, size=3):
+            kind = rng.integers(4)
+            if kind == 0:
+                edges[i, rng.integers(m + n)] = -rng.random()
+            elif kind == 1:
+                edges[i] = 0.0
+            elif kind == 2:
+                edges[i] *= 1.0 + rng.choice([1e-13, 1e-11, 1e-3])
+            else:
+                edges[i, rng.integers(m + n)] = np.nan
+        assert validate(RepGraph(n=n, m=m, edges=edges)) == row_violations(edges)
 
 
 def test_validate_rejects_small_counts():
