@@ -34,6 +34,16 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
+def _trial_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -97,12 +107,8 @@ def cmd_nash(args) -> int:
             f"max_gain {_fmt(worst_gain)} max_rho_drift {_fmt(worst_drift)}"
         )
         return 0
-    report = verify_unique_nash(
-        trust, n, cfg, probes=args.trials, rng=substream(args.seed, "probes")
-    )
-    rows = [
-        f"{i + 1},{_fmt(report.utilities[i])},{_fmt(report.epsilon_prime)}" for i in range(n)
-    ]
+    report = verify_unique_nash(trust, n, probes=args.trials, rng=substream(args.seed, "probes"))
+    rows = [f"{i + 1},{_fmt(report.utility)},{_fmt(report.epsilon_prime)}" for i in range(n)]
     text = "player,utility,gain\n" + "\n".join(rows) + "\n"
     _write_text(Path(args.out) / "nash.csv", text)
     print(f"epsilon_prime {_fmt(report.epsilon_prime)}")
@@ -124,7 +130,7 @@ def cmd_noisy(args) -> int:
         rng = substream(args.seed, "noisy", index, trial)
         belief = noisy_belief_two_point(trust, eps, rng)
         scenario = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=eps)
-        report = measure_epsilon_prime(scenario, cfg)
+        report = measure_epsilon_prime(scenario)
         return eps, report.epsilon_prime, report.bound
 
     jobs = [(i, t) for i in range(len(epsilons)) for t in range(args.trials)]
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="player count override")
     p.add_argument("--k", type=int, default=None, help="established player count (hierarchy mode)")
-    p.add_argument("--trials", type=int, default=100, help="probe count or hierarchy draws")
+    p.add_argument("--trials", type=_trial_count, default=100, help="probe count or hierarchy draws")
     p.set_defaults(func=cmd_nash)
 
     p = commands.add_parser("noisy", help="sweep belief noise and measure the defect")
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="noise level (repeatable; default sweep "
         + ", ".join(str(e) for e in DEFAULT_EPSILONS) + ")",
     )
-    p.add_argument("--trials", type=int, default=20, help="trials per noise level")
+    p.add_argument("--trials", type=_trial_count, default=20, help="trials per noise level")
     p.add_argument("--p", type=float, default=0.0, help="per-entry failure probability of the noise model")
     p.add_argument("--delta", type=float, default=None, help="belief-mass drift for the decodability check")
     p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
@@ -247,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--committee", type=int, default=None, help="probing committee size")
     p.add_argument("--ell", type=int, default=None, help="final committee pool size")
     p.add_argument("--fraction", type=float, default=0.9, help="fraction of the pool selected")
-    p.add_argument("--trials", type=int, default=10, help="independent runs")
+    p.add_argument("--trials", type=_trial_count, default=10, help="independent runs")
     p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
     p.set_defaults(func=cmd_bootstrap)
     return parser

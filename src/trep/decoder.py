@@ -162,8 +162,10 @@ def f2_check(
     m = trust.size
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     total = trust.sum()
-    if delta <= 0 or delta >= total:
+    if not 0 < delta < total:
         raise ValueError(f"delta must lie strictly between 0 and ||trust||_1 = {total}")
     nr = f1(trust)
     threshold = (epsilon + delta * nr.max()) / (total - delta)

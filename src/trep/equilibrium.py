@@ -67,7 +67,7 @@ class GameScenario:
         self.trust = _check_trust(self.trust)
         if self.n < 2:
             raise ValueError(f"need at least 2 players, got {self.n}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
@@ -77,7 +77,7 @@ class GameScenario:
             self.belief = np.asarray(self.belief, dtype=float)
             if self.belief.shape != self.trust.shape:
                 raise ValueError("belief and trust must have the same shape")
-            if np.any(self.belief < 0) or not np.any(self.belief > 0):
+            if not (np.all(self.belief >= 0) and np.any(self.belief > 0)):
                 raise ValueError("belief must be nonnegative with positive mass")
         if self.kind == "hierarchy":
             if self.k is None:
@@ -91,20 +91,23 @@ class GameScenario:
                         f"fresh_weights have shape {w.shape}, expected "
                         f"({self.n - self.k}, {self.k})"
                     )
-                if np.any(w < 0) or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9:
+                if not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)):
                     raise ValueError("fresh_weights rows must be distributions")
                 self.fresh_weights = w
 
 
 @dataclass
 class EquilibriumReport:
-    """Outcome of an equilibrium verification run."""
+    """Outcome of an equilibrium verification run.
+
+    Every player plays the same row, so utility is each player's payoff.
+    """
 
     profile: np.ndarray
     best_response: np.ndarray
     epsilon_prime: float
     closed_form_deviation: float
-    utilities: np.ndarray
+    utility: float
     expected_value: float | None = None
     probe_min: float | None = None
     bound: float | None = None
@@ -131,17 +134,18 @@ def truth_telling_profile(scenario: GameScenario) -> np.ndarray:
 def best_response_to_mass(
     trust: np.ndarray, opponent_mass: np.ndarray, stake: float = FREE_SERVER_STAKE
 ) -> np.ndarray:
-    """Optimal server allocation against fixed aggregate opponent mass.
+    """Exact waterfilling allocation against fixed aggregate opponent mass.
 
-    Enumerates the waterfilling active sets in marginal-value order and keeps
-    the feasible allocation with the highest utility; on contested servers
-    the winner is the exact KKT solution.
+    Free servers (positive trust, no opponent mass) get the stake.  Sorted by
+    decreasing R_j / b_j, the contested servers are active on a prefix (Boyd &
+    Vandenberghe, Convex Optimization, 5.5.3): the longest prefix whose last
+    server still gets a positive KKT share at that prefix's water level.
     """
     ratings = np.asarray(trust, dtype=float)
     mass = np.asarray(opponent_mass, dtype=float)
     if ratings.shape != mass.shape or ratings.ndim != 1:
         raise ValueError("trust and opponent mass must be vectors of equal length")
-    if np.any(ratings < 0) or np.any(mass < 0):
+    if not (np.all(ratings >= 0) and np.all(mass >= 0)):
         raise ValueError("trust and opponent mass must be nonnegative")
     m = ratings.size
     allocation = np.zeros(m)
@@ -159,31 +163,20 @@ def best_response_to_mass(
     order = contested[np.argsort(-(ratings[contested] / mass[contested]), kind="stable")]
     # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
     sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(mass[order])
-    prefix_gain = np.cumsum(sqrt_gain)
-    prefix_mass = np.cumsum(mass[order])
-    best = None
-    best_utility = -np.inf
-    for size in range(1, order.size + 1):
-        sqrt_level = prefix_gain[size - 1] / (budget + prefix_mass[size - 1])
-        active = order[:size]
-        spread = np.maximum(sqrt_gain[:size] / sqrt_level - mass[active], 0.0)
-        total = spread.sum()
-        if total <= 0:
-            continue
-        candidate = allocation.copy()
-        candidate[active] = spread * (budget / total)
-        utility = bipartite_utility(candidate, mass, ratings)
-        if utility > best_utility:
-            best_utility = utility
-            best = candidate
-    return best
+    sqrt_level = np.cumsum(sqrt_gain) / (budget + np.cumsum(mass[order]))
+    positive = np.flatnonzero(sqrt_gain / sqrt_level > mass[order])
+    if positive.size == 0:  # the budget is below the rounding of b: no share registers
+        allocation[order[0]] += budget
+        return allocation
+    size = positive[-1] + 1
+    active = order[:size]
+    spread = np.maximum(sqrt_gain[:size] / sqrt_level[size - 1] - mass[active], 0.0)
+    allocation[active] = spread * (budget / spread.sum())
+    return allocation
 
 
-def best_response_numeric(
-    profile: np.ndarray, trust: np.ndarray, player: int, config: Config | None = None
-) -> np.ndarray:
+def best_response_numeric(profile: np.ndarray, trust: np.ndarray, player: int) -> np.ndarray:
     """Best server allocation for one player against a server-only profile."""
-    del config  # the reduced problem does not depend on the walk parameters
     profile = np.asarray(profile, dtype=float)
     trust = _check_trust(trust)
     m = trust.size
@@ -225,10 +218,41 @@ def _bipartite_profile(row: np.ndarray, n: int) -> np.ndarray:
     return profile
 
 
+def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> EquilibriumReport:
+    """Best unilateral gain when every player endorses the normalized belief.
+
+    Each player faces opponent mass (n - 1) N(belief); the gain is the exact
+    best response's utility, or the closed form's when that is higher, over
+    the utility of playing N(belief).
+    """
+    nr_belief = _normalize(belief)
+    mass = (n - 1) * nr_belief
+    base = bipartite_utility(nr_belief, mass, ratings)
+    response = best_response_to_mass(ratings, mass)
+    best_utility = bipartite_utility(response, mass, ratings)
+    deviation = np.nan
+    try:
+        closed = best_response_closed_form(ratings, belief, n)
+    except DegenerateBelief:
+        pass
+    else:
+        deviation = float(np.max(np.abs(response - closed)))
+        closed_utility = bipartite_utility(closed, mass, ratings)
+        if closed_utility > best_utility:
+            response, best_utility = closed, closed_utility
+    return EquilibriumReport(
+        profile=_bipartite_profile(nr_belief, n),
+        best_response=response,
+        epsilon_prime=max(0.0, best_utility - base),
+        closed_form_deviation=deviation,
+        utility=base,
+        expected_value=ratings.sum() / n,
+    )
+
+
 def verify_unique_nash(
     trust: np.ndarray,
     n: int,
-    config: Config | None = None,
     probes: int = 100,
     rng: np.random.Generator | None = None,
 ) -> EquilibriumReport:
@@ -239,37 +263,21 @@ def verify_unique_nash(
     waterfilling solver, and probes random opponent deviations to confirm
     the equilibrium player never drops below the equilibrium value.
     """
-    cfg = config or Config()
-    del cfg  # the reduced game is independent of the walk parameters
     ratings = _check_trust(trust)
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    m = ratings.size
-    nr = _normalize(ratings)
-    level = ratings.sum() / n
-    mass = (n - 1) * nr
-    base = bipartite_utility(nr, mass, ratings)
-    response = best_response_to_mass(ratings, mass)
-    gain = max(0.0, bipartite_utility(response, mass, ratings) - base)
-    closed = best_response_closed_form(ratings, ratings, n)
-    deviation = float(np.max(np.abs(response - closed)))
+    report = _common_belief_defect(ratings, ratings, n)
+    nr = report.profile[0, : ratings.size]
     rng = rng or substream(0, "nash-probes")
     probe_min = np.inf
     for _ in range(probes):
-        opponents = rng.dirichlet(np.ones(m), size=n - 1).sum(axis=0)
+        opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
         probe_min = min(probe_min, bipartite_utility(nr, opponents, ratings))
-    return EquilibriumReport(
-        profile=_bipartite_profile(nr, n),
-        best_response=response,
-        epsilon_prime=gain,
-        closed_form_deviation=deviation,
-        utilities=np.full(n, base),
-        expected_value=level,
-        probe_min=float(probe_min),
-    )
+    report.probe_min = float(probe_min)
+    return report
 
 
-def measure_epsilon_prime(scenario: GameScenario, config: Config | None = None) -> EquilibriumReport:
+def measure_epsilon_prime(scenario: GameScenario) -> EquilibriumReport:
     """Equilibrium defect when every player endorses a common noisy belief.
 
     Reports the best unilateral gain over the truthful-belief profile and the
@@ -277,26 +285,8 @@ def measure_epsilon_prime(scenario: GameScenario, config: Config | None = None) 
     """
     if scenario.kind != "noisy":
         raise ValueError("epsilon' is measured on noisy scenarios")
-    del config  # the reduced game is independent of the walk parameters
-    ratings = scenario.trust
-    belief = scenario.belief
-    n, m = scenario.n, ratings.size
-    nr_belief = _normalize(belief)
-    mass = (n - 1) * nr_belief
-    base = bipartite_utility(nr_belief, mass, ratings)
-    response = best_response_to_mass(ratings, mass)
-    best_utility = bipartite_utility(response, mass, ratings)
-    deviation = np.nan
-    try:
-        closed = best_response_closed_form(ratings, belief, n)
-    except DegenerateBelief:
-        closed = None
-    if closed is not None:
-        deviation = float(np.max(np.abs(response - closed)))
-        closed_utility = bipartite_utility(closed, mass, ratings)
-        if closed_utility > best_utility:
-            response, best_utility = closed, closed_utility
-    gain = max(0.0, best_utility - base)
+    n, m = scenario.n, scenario.trust.size
+    report = _common_belief_defect(scenario.trust, scenario.belief, n)
     eps = scenario.epsilon
     bound = m * m * (n - 1) / n**2
     if eps > 0:
@@ -304,15 +294,8 @@ def measure_epsilon_prime(scenario: GameScenario, config: Config | None = None) 
             bound = np.inf
         else:
             bound *= (1 + eps) / (1 - eps)
-    return EquilibriumReport(
-        profile=_bipartite_profile(nr_belief, n),
-        best_response=response,
-        epsilon_prime=gain,
-        closed_form_deviation=deviation,
-        utilities=np.full(n, base),
-        expected_value=ratings.sum() / n,
-        bound=float(bound),
-    )
+    report.bound = float(bound)
+    return report
 
 
 def _server_only_reduction(

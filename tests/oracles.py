@@ -3,11 +3,12 @@
 These deliberately avoid the library's own solvers: best responses are
 recomputed with projected-gradient ascent and brute-force grid refinement so
 the exact waterfill solver in the package is checked against something that
-shares none of its code.  Tour counts are rebuilt one source at a time from
-the explicit restarted chain and its dense least-squares stationary vector,
-which shares nothing with the fundamental-matrix solve.  Scores are checked
-against one dense linear solve on the user block, which shares nothing with
-the power iteration.
+shares none of its code, and by trying every active-set size where the
+package picks the size from the KKT condition.  Tour counts are rebuilt one
+source at a time from the explicit restarted chain and its dense
+least-squares stationary vector, which shares nothing with the
+fundamental-matrix solve.  Scores are checked against one dense linear solve
+on the user block, which shares nothing with the power iteration.
 """
 
 import numpy as np
@@ -92,6 +93,50 @@ def grid_best_response(trust, opponent_mass, passes=4, coarse=101):
         w2 = (hi[1] - lo[1]) / (coarse - 1)
         lo = np.maximum(0.0, np.array([best[0] - w1, best[1] - w2]))
         hi = np.minimum(1.0, np.array([best[0] + w1, best[1] + w2]))
+    return best
+
+
+def best_response_by_enumeration(trust, opponent_mass, stake=1e-12):
+    """Waterfilling best response that tries every active-set size.
+
+    Each prefix of the contested servers, in decreasing R_j / b_j order, gets
+    its KKT allocation with negative shares clipped; the candidate with the
+    highest share_utility wins.  Free servers get the stake, as in the
+    package.
+    """
+    ratings = np.asarray(trust, dtype=float)
+    mass = np.asarray(opponent_mass, dtype=float)
+    m = ratings.size
+    allocation = np.zeros(m)
+    free = (mass <= 0) & (ratings > 0)
+    allocation[free] = stake
+    budget = 1.0 - stake * int(free.sum())
+    contested = np.where((mass > 0) & (ratings > 0))[0]
+    if contested.size == 0:
+        if free.any():
+            allocation[free] += budget / int(free.sum())
+        else:
+            allocation += budget / m
+        return allocation
+    order = contested[np.argsort(-(ratings[contested] / mass[contested]), kind="stable")]
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(mass[order])
+    prefix_gain = np.cumsum(sqrt_gain)
+    prefix_mass = np.cumsum(mass[order])
+    best = None
+    best_utility = -np.inf
+    for size in range(1, order.size + 1):
+        sqrt_level = prefix_gain[size - 1] / (budget + prefix_mass[size - 1])
+        active = order[:size]
+        spread = np.maximum(sqrt_gain[:size] / sqrt_level - mass[active], 0.0)
+        total = spread.sum()
+        if total <= 0:
+            continue
+        candidate = allocation.copy()
+        candidate[active] = spread * (budget / total)
+        utility = share_utility(candidate, mass, ratings)
+        if utility > best_utility:
+            best_utility = utility
+            best = candidate
     return best
 
 

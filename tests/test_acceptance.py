@@ -129,9 +129,9 @@ def test_proportional_profile_is_nash():
         "within 1e-10, gains <= 1e-8, probes never pay below the value",
     ):
         for n, ratings, rng in _nash_instances():
-            report = verify_unique_nash(ratings, n, CFG, probes=100, rng=rng)
+            report = verify_unique_nash(ratings, n, probes=100, rng=rng)
             level = ratings.sum() / n
-            np.testing.assert_allclose(report.utilities, level, atol=1e-10)
+            np.testing.assert_allclose(report.utility, level, atol=1e-10)
             assert report.epsilon_prime <= 1e-8
             assert report.probe_min >= level - 1e-8
 
@@ -187,11 +187,11 @@ def test_noisy_defect_within_theoretical_bound():
                 scenario = GameScenario(
                     kind="noisy", trust=ratings, n=n, belief=belief, epsilon=eps
                 )
-                report = measure_epsilon_prime(scenario, CFG)
+                report = measure_epsilon_prime(scenario)
                 assert report.epsilon_prime <= report.bound
             ratings = rng.uniform(0.2, 1.0, size=m)
             exact = GameScenario(kind="noisy", trust=ratings, n=n, belief=ratings.copy())
-            assert measure_epsilon_prime(exact, CFG).epsilon_prime <= 1e-8
+            assert measure_epsilon_prime(exact).epsilon_prime <= 1e-8
 
 
 F2_GRID = [(m, eps) for m in (5, 10, 20) for eps in (0.01, 0.02)]

@@ -235,3 +235,25 @@ def test_alpha_override_changes_nothing_at_equilibrium(scenario, tmp_path):
     rho2 = (out2 / "decode.csv").read_text(encoding="utf-8").splitlines()[1:3]
     for a, b in zip(rho1, rho2):
         assert abs(float(a.split(",")[1]) - float(b.split(",")[1])) <= 1e-9
+
+
+@pytest.mark.parametrize("command, trials", [("nash", "-3"), ("noisy", "-3"), ("bootstrap", "0")])
+def test_trials_below_one_exits_2(scenario, tmp_path, command, trials):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(scenario), "--trials", trials, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--delta", "nan"], ["--p", "-1"], ["--p", "5"], ["--p", "nan"]],
+    ids=["delta-nan", "p-negative", "p-above-1", "p-nan"],
+)
+def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
+    args = ["noisy", str(scenario), "--trials", "2", "--out", str(tmp_path)]
+    if bad[0] == "--p":
+        args += ["--delta", "0.05"]
+    assert main(args + bad) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "f2.csv").exists()

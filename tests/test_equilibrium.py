@@ -19,7 +19,12 @@ from trep.equilibrium import (
 from trep.game import bipartite_utility, expected_utilities
 from trep.repgraph import Config
 
-from oracles import grid_best_response, pg_best_response, share_utility
+from oracles import (
+    best_response_by_enumeration,
+    grid_best_response,
+    pg_best_response,
+    share_utility,
+)
 
 CFG = Config()
 
@@ -113,13 +118,42 @@ def test_best_response_matches_grid_oracle():
         assert abs(u_impl - u_grid) <= 1e-5
 
 
+# Zero trust, free servers (no opponent mass) and opponent masses from 1e-300 to 1e3.
+RATING = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+MASS = st.one_of(st.just(0.0), st.floats(-300.0, 3.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 25).flatmap(lambda m: st.tuples(
+    st.lists(RATING, min_size=m, max_size=m), st.lists(MASS, min_size=m, max_size=m)
+)))
+def test_best_response_matches_enumeration(case):
+    trust, mass = (np.array(v) for v in case)
+    x = best_response_to_mass(trust, mass)
+    assert np.all(x >= 0)
+    assert abs(x.sum() - 1.0) <= 1e-12
+    u_oracle = share_utility(best_response_by_enumeration(trust, mass), mass, trust)
+    assert abs(share_utility(x, mass, trust) - u_oracle) <= 1e-15 * max(1.0, u_oracle)
+    # KKT: no contested server left out has a ratio above the water level.
+    contested = (mass > 0) & (trust > 0)
+    active = contested & (x > 0)
+    if active.any():
+        budget = x[contested].sum()
+        sqrt_level = (np.sqrt(trust[active]) * np.sqrt(mass[active])).sum() / (
+            budget + mass[active].sum()
+        )
+        left_out = contested & ~active
+        ratio = np.sqrt(trust[left_out]) / np.sqrt(mass[left_out])
+        assert np.all(ratio <= sqrt_level * (1 + 1e-12))
+
+
 def test_best_response_starves_uncontested_server():
     # Against an opponent parked entirely on server 2, the optimum leaves the
     # uncontested server 1 with vanishing mass: any epsilon there already
     # captures the whole pot, so nearly everything fights for server 2.
     trust = np.array([0.5, 0.5])
     profile = bipartite_rows([[0.5, 0.5], [0.0, 1.0]])
-    x = best_response_numeric(profile, trust, player=0, config=CFG)
+    x = best_response_numeric(profile, trust, player=0)
     nr = f1(trust)
     assert x[0] < nr[0]
     assert x[0] <= 1e-9
@@ -146,19 +180,33 @@ def test_best_response_survives_underflowing_products():
     np.testing.assert_allclose(x, best_response_to_mass(np.array([1.0, 1.0]), tiny), rtol=1e-12)
 
 
+def test_best_response_gives_budget_to_best_ratio_when_mass_swamps_it():
+    # b_j = 1e20 hides a budget of 1 below rounding: no KKT share registers.
+    x = best_response_to_mass(np.array([0.5, 1.0]), np.array([1e20, 1e20]))
+    np.testing.assert_array_equal(x, [0.0, 1.0])
+    np.testing.assert_array_equal(best_response_to_mass(np.array([1.0]), np.array([1e20])), [1.0])
+
+
+def test_best_response_rejects_nan_input():
+    with pytest.raises(ValueError):
+        best_response_to_mass(np.array([0.5, 0.5]), np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        best_response_to_mass(np.array([np.nan, 0.5]), np.array([0.5, 1.0]))
+
+
 def test_best_response_numeric_rejects_nonbipartite_opponents():
     profile = np.zeros((2, 4))
     profile[0, :2] = 0.5
     profile[1, 2] = 1.0  # opponent endorses a user
     with pytest.raises(ValueError):
-        best_response_numeric(profile, np.array([0.5, 0.5]), player=0, config=CFG)
+        best_response_numeric(profile, np.array([0.5, 0.5]), player=0)
 
 
 # ------------------------------------------------------------ equilibrium
 
 def test_verify_unique_nash_two_servers():
-    report = verify_unique_nash(np.array([1.0, 0.5]), n=2, config=CFG)
-    np.testing.assert_allclose(report.utilities, [0.75, 0.75], atol=1e-10)
+    report = verify_unique_nash(np.array([1.0, 0.5]), n=2)
+    np.testing.assert_allclose(report.utility, 0.75, atol=1e-10)
     assert report.epsilon_prime <= 1e-8
     assert report.closed_form_deviation <= 1e-8
     np.testing.assert_allclose(report.profile[:, :2], np.tile([2 / 3, 1 / 3], (2, 1)), atol=1e-12)
@@ -167,14 +215,14 @@ def test_verify_unique_nash_two_servers():
 def test_verify_unique_nash_uniform_trust():
     m, n = 4, 5
     trust = np.full(m, 0.6)
-    report = verify_unique_nash(trust, n=n, config=CFG)
-    np.testing.assert_allclose(report.utilities, np.full(n, m * 0.6 / n), atol=1e-10)
+    report = verify_unique_nash(trust, n=n)
+    np.testing.assert_allclose(report.utility, m * 0.6 / n, atol=1e-10)
     assert report.epsilon_prime <= 1e-8
 
 
 def test_verify_unique_nash_probes_never_beat_equilibrium_value():
     trust = np.array([0.9, 0.2, 0.5, 0.7, 0.1])
-    report = verify_unique_nash(trust, n=5, config=CFG, probes=200)
+    report = verify_unique_nash(trust, n=5, probes=200)
     level = trust.sum() / 5
     assert report.expected_value == pytest.approx(level, abs=1e-12)
     assert report.probe_min >= level - 1e-8
@@ -182,8 +230,8 @@ def test_verify_unique_nash_probes_never_beat_equilibrium_value():
 
 def test_verify_unique_nash_deterministic():
     trust = np.array([0.9, 0.2, 0.5])
-    a = verify_unique_nash(trust, n=4, config=CFG, probes=50)
-    b = verify_unique_nash(trust, n=4, config=CFG, probes=50)
+    a = verify_unique_nash(trust, n=4, probes=50)
+    b = verify_unique_nash(trust, n=4, probes=50)
     assert a.probe_min == b.probe_min
     assert a.epsilon_prime == b.epsilon_prime
 
@@ -235,12 +283,28 @@ def test_scenario_validation():
         GameScenario(kind="noisy", trust=np.array([0.5, 0.5]), n=2)  # missing belief
 
 
+def test_noisy_scenario_rejects_nan_belief_and_epsilon():
+    trust = np.array([0.5, 0.5])
+    with pytest.raises(ValueError):
+        GameScenario(kind="noisy", trust=trust, n=2, belief=np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError):
+        GameScenario(kind="noisy", trust=trust, n=2, belief=trust, epsilon=np.nan)
+
+
+def test_hierarchy_scenario_rejects_nan_fresh_weights():
+    with pytest.raises(ValueError):
+        GameScenario(
+            kind="hierarchy", trust=np.array([0.5, 0.5]), n=3, k=2,
+            fresh_weights=np.array([[np.nan, 1.0]]),
+        )
+
+
 # ------------------------------------------------------------- epsilon'
 
 def test_epsilon_prime_zero_noise():
     trust = np.array([0.7, 0.3, 0.5])
     sc = GameScenario(kind="noisy", trust=trust, n=4, belief=trust.copy())
-    report = measure_epsilon_prime(sc, CFG)
+    report = measure_epsilon_prime(sc)
     assert report.epsilon_prime <= 1e-8
 
 
@@ -249,7 +313,7 @@ def test_epsilon_prime_against_grid_oracle():
     belief = np.array([0.85, 0.35])
     n = 4
     sc = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=0.05)
-    report = measure_epsilon_prime(sc, CFG)
+    report = measure_epsilon_prime(sc)
     mass = (n - 1) * f1(belief)
     base = share_utility(f1(belief), mass, trust)
     x_grid = grid_best_response(trust, mass)
@@ -264,7 +328,7 @@ def test_epsilon_prime_shrinks_with_noise():
     for eps in (0.05, 0.001):
         belief = trust + np.array([eps, -eps])
         sc = GameScenario(kind="noisy", trust=trust, n=4, belief=belief, epsilon=eps)
-        gains.append(measure_epsilon_prime(sc, CFG).epsilon_prime)
+        gains.append(measure_epsilon_prime(sc).epsilon_prime)
     assert gains[1] < gains[0]
     assert gains[1] <= 1e-4
 
@@ -277,7 +341,7 @@ def test_epsilon_prime_bound_formula():
         belief=np.array([0.82, 0.38]),
         epsilon=0.02,
     )
-    report = measure_epsilon_prime(sc, CFG)
+    report = measure_epsilon_prime(sc)
     m, n, eps = 2, 4, 0.02
     expected = m * m * (n - 1) / n**2 * (1 + eps) / (1 - eps)
     assert report.bound == pytest.approx(expected, rel=1e-12)
