@@ -32,7 +32,6 @@ from .equilibrium import (
     EquilibriumReport,
     GameScenario,
     best_response_closed_form,
-    best_response_numeric,
     best_response_to_mass,
     hierarchy_best_response_gains,
     measure_epsilon_prime,
@@ -45,7 +44,6 @@ from .game import (
     expected_utilities,
     realized_utilities,
     sample_nature,
-    validate_profile,
 )
 from .pagerank import (
     AllServersUntrusted,
@@ -56,7 +54,6 @@ from .pagerank import (
     contribution_matrix,
     reputation_scores,
     stationary,
-    stationary_oracle,
     tour_counts,
 )
 from .repgraph import Config, ParseError, RepGraph, from_strategies, load, save, validate
@@ -78,7 +75,6 @@ __all__ = [
     "StationaryDistribution",
     "TRepGame",
     "best_response_closed_form",
-    "best_response_numeric",
     "best_response_to_mass",
     "bipartite_utility",
     "build_designated_chain",
@@ -106,13 +102,11 @@ __all__ = [
     "save",
     "select_committee",
     "stationary",
-    "stationary_oracle",
     "substream",
     "tour_counts",
     "trace_event_log",
     "truth_telling_profile",
     "validate",
-    "validate_profile",
     "verify_unique_nash",
 ]
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoder import decode
-from .game import TRepGame, realized_utilities, sample_nature, validate_profile
-from .repgraph import Config
+from .game import TRepGame, realized_utilities, sample_nature
+from .repgraph import Config, from_strategies
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def run_bootstrap(
 ) -> BootstrapTrace:
     """Probe servers in committees until a full schedule passes cleanly."""
     m, n = game.m, game.n
-    profile = np.asarray(profile, dtype=float)
-    validate_profile(profile, m, n)
+    # from_strategies checks the shape and decode the rows, both before any draw
+    rho = decode(from_strategies(profile, m, n).edges, game.config).rho
     if bcfg.committee_size > m:
         raise ValueError(f"committee size {bcfg.committee_size} exceeds server count {m}")
     if bcfg.ell > m:
@@ -114,8 +114,8 @@ def run_bootstrap(
     trace.restarts = restarts
     trace.detected = tuple(sorted(excluded))
     trace.final_outcome = outcome
-    trace.rho = decode(profile, game.config).rho
-    trace.committee = select_committee(trace.rho, bcfg.ell, bcfg.fraction)
+    trace.rho = rho
+    trace.committee = select_committee(rho, bcfg.ell, bcfg.fraction)
     return trace
 
 

@@ -123,26 +123,10 @@ def cmd_noisy(args) -> int:
     trust = _require_trust(graph, "noisy")
     n = args.n or graph.n
     epsilons = args.epsilon or list(DEFAULT_EPSILONS)
-
-    def one(job):
-        index, trial = job
-        eps = epsilons[index]
-        rng = substream(args.seed, "noisy", index, trial)
-        belief = noisy_belief_two_point(trust, eps, rng)
-        scenario = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=eps)
-        report = measure_epsilon_prime(scenario)
-        return eps, report.epsilon_prime, report.bound
-
-    jobs = [(i, t) for i in range(len(epsilons)) for t in range(args.trials)]
-    results = [one(job) for job in jobs]
-    rows = [f"{_fmt(eps)},{_fmt(gain)},{_fmt(bound)}" for eps, gain, bound in results]
-    _write_text(
-        Path(args.out) / "noisy.csv", "epsilon,epsilon_prime,bound\n" + "\n".join(rows) + "\n"
-    )
-    worst = max((gain for _, gain, _ in results), default=0.0)
-    print(f"epsilons {len(epsilons)} trials {args.trials} max_epsilon_prime {_fmt(worst)}")
+    # The f2 checks run first, so a bad --p or --delta fails before the sweep
+    # writes noisy.csv; their "f2" streams are independent of the sweep's.
+    f2_rows, f2_lines = [], []
     if args.delta is not None:
-        f2_rows = []
         for index, eps in enumerate(epsilons):
             report = f2_check(
                 trust,
@@ -158,10 +142,26 @@ def cmd_noisy(args) -> int:
                 f"{_fmt(eps)},{_fmt(report['empirical_prob'])},{_fmt(report['bound'])},"
                 f"{_fmt(report['q'])},{_fmt(report['threshold'])}"
             )
-            print(
+            f2_lines.append(
                 f"f2 eps {_fmt(eps)} empirical {_fmt(report['empirical_prob'])} "
                 f"bound {_fmt(report['bound'])}"
             )
+    rows = []
+    worst = 0.0
+    for index, eps in enumerate(epsilons):
+        for trial in range(args.trials):
+            rng = substream(args.seed, "noisy", index, trial)
+            belief = noisy_belief_two_point(trust, eps, rng)
+            scenario = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=eps)
+            report = measure_epsilon_prime(scenario)
+            worst = max(worst, report.epsilon_prime)
+            rows.append(f"{_fmt(eps)},{_fmt(report.epsilon_prime)},{_fmt(report.bound)}")
+    _write_text(
+        Path(args.out) / "noisy.csv", "epsilon,epsilon_prime,bound\n" + "\n".join(rows) + "\n"
+    )
+    print(f"epsilons {len(epsilons)} trials {args.trials} max_epsilon_prime {_fmt(worst)}")
+    if args.delta is not None:
+        print("\n".join(f2_lines))
         _write_text(
             Path(args.out) / "f2.csv",
             "epsilon,empirical_prob,bound,q,threshold\n" + "\n".join(f2_rows) + "\n",
@@ -178,29 +178,26 @@ def cmd_bootstrap(args) -> int:
     bcfg = BootstrapConfig(
         lam=args.lam, committee_size=committee, ell=ell, fraction=args.fraction
     )
-
-    def one(trial):
+    rows = []
+    restarts = majorities = 0
+    for trial in range(args.trials):
         trace = run_bootstrap(game, graph.edges, bcfg, substream(args.seed, "boot", trial))
+        if trial == 0:
+            log = trace_event_log(trace)
         majority, margin = honest_majority_check(trace.committee, trace.honest)
         detected = ";".join(str(j + 1) for j in trace.detected) or "none"
-        row = (
+        rows.append(
             f"{trial},{trace.restarts},{len(trace.events)},{detected},"
             f"{'true' if majority else 'false'},{margin}"
         )
-        return trace, row, majority
-
-    results = [one(trial) for trial in range(args.trials)]
-    _write_text(Path(args.out) / "bootstrap.log", trace_event_log(results[0][0]))
+        restarts += trace.restarts
+        majorities += majority
+    _write_text(Path(args.out) / "bootstrap.log", log)
     header = "trial,restarts,rounds,detected,majority,margin\n"
-    _write_text(
-        Path(args.out) / "bootstrap.csv",
-        header + "\n".join(row for _, row, _ in results) + "\n",
-    )
-    mean_restarts = float(np.mean([trace.restarts for trace, _, _ in results]))
-    majority_rate = float(np.mean([1.0 if ok else 0.0 for _, _, ok in results]))
+    _write_text(Path(args.out) / "bootstrap.csv", header + "\n".join(rows) + "\n")
     print(
-        f"trials {args.trials} mean_restarts {_fmt(mean_restarts)} "
-        f"majority_rate {_fmt(majority_rate)}"
+        f"trials {args.trials} mean_restarts {_fmt(restarts / args.trials)} "
+        f"majority_rate {_fmt(majorities / args.trials)}"
     )
     return 0
 

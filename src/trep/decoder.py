@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import GameScenario, truth_telling_profile
+from .game import f1
 from .pagerank import reputation_scores
 from .repgraph import Config, from_strategies
 from .rng import substream
@@ -24,20 +25,8 @@ class DecodeResult:
     """Decoded scores plus optional accuracy metrics against known trust."""
 
     rho: np.ndarray
-    ratio_matrix: np.ndarray
     inversions: int | None = None
     linf_error: float | None = None
-
-
-def f1(utilities: np.ndarray) -> np.ndarray:
-    """Normalize a nonnegative vector with positive mass to sum one."""
-    utilities = np.asarray(utilities, dtype=float)
-    if np.any(utilities < 0):
-        raise ValueError("cannot normalize a vector with negative entries")
-    total = utilities.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize a vector without positive mass")
-    return utilities / total
 
 
 def decode(
@@ -45,10 +34,8 @@ def decode(
 ) -> DecodeResult:
     """Recover server scores from a strategy profile.
 
-    The ratio matrix holds all pairwise score ratios, with +inf wherever the
-    denominator score is zero.  When the true trust vector is supplied the
-    result also carries ranking inversions and the sup-norm error against
-    normalized trust.
+    When the true trust vector is supplied the result also carries ranking
+    inversions and the sup-norm error against normalized trust.
     """
     cfg = config or Config()
     profile = np.asarray(profile, dtype=float)
@@ -59,15 +46,13 @@ def decode(
     if m < 1:
         raise ValueError(f"profile shape {profile.shape} leaves no server columns")
     rho = reputation_scores(from_strategies(profile, m, n), cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rho[None, :] > 0, rho[:, None] / rho[None, :], np.inf)
     inversions = None
     linf = None
     if trust is not None:
         trust = np.asarray(trust, dtype=float)
         inversions = count_inversions(rho, trust)
         linf = float(np.max(np.abs(rho - f1(trust))))
-    return DecodeResult(rho=rho, ratio_matrix=ratios, inversions=inversions, linf_error=linf)
+    return DecodeResult(rho=rho, inversions=inversions, linf_error=linf)
 
 
 def count_inversions(rho: np.ndarray, trust: np.ndarray) -> int:
@@ -78,24 +63,15 @@ def count_inversions(rho: np.ndarray, trust: np.ndarray) -> int:
     trust = np.asarray(trust, dtype=float)
     if rho.shape != trust.shape or rho.ndim != 1:
         raise ValueError("rho and trust must be vectors of equal length")
-    whole = 0
-    halves = 0
-    m = rho.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if trust[i] == trust[j]:
-                continue
-            hi, lo = (i, j) if trust[i] > trust[j] else (j, i)
-            if rho[hi] < rho[lo]:
-                whole += 1
-            elif rho[hi] == rho[lo]:
-                halves += 1
+    above = trust[:, None] > trust[None, :]  # (i, j) with i strictly more trusted
+    whole = int(np.count_nonzero(above & (rho[:, None] < rho[None, :])))
+    halves = int(np.count_nonzero(above & (rho[:, None] == rho[None, :])))
     return whole + (halves + 1) // 2
 
 
 def _check_noise_margin(trust: np.ndarray, epsilon: float) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
-    if epsilon < 0:
+    if not epsilon >= 0:  # negated so NaN is rejected
         raise ValueError("epsilon must be nonnegative")
     if np.any(trust < epsilon) or np.any(trust > 1.0 - epsilon):
         raise ValueError(
@@ -206,6 +182,8 @@ def hoeffding_check(
     m = trust.size
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
     rng = rng or substream(0, "hoeffding")
     total = trust.sum()

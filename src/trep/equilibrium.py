@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    _check_trust,
-    bipartite_utility,
-    expected_utilities,
-    validate_profile,
-)
+from .game import _check_trust, bipartite_utility, expected_utilities, f1
 from .pagerank import tour_counts
 from .repgraph import Config, from_strategies
 from .rng import substream
@@ -31,14 +26,6 @@ FREE_SERVER_STAKE = 1e-12
 
 class DegenerateBelief(ValueError):
     """Trust and belief have disjoint support; the best response is undefined."""
-
-
-def _normalize(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=float)
-    total = vector.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize a vector without positive mass")
-    return vector / total
 
 
 @dataclass
@@ -59,7 +46,6 @@ class GameScenario:
     k: int | None = None
     fresh_weights: np.ndarray | None = None
     epsilon: float = 0.0
-    p: float = 0.0
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -69,8 +55,6 @@ class GameScenario:
             raise ValueError(f"need at least 2 players, got {self.n}")
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
         if self.kind == "noisy":
             if self.belief is None:
                 raise ValueError("noisy scenarios need a belief vector")
@@ -103,8 +87,6 @@ class EquilibriumReport:
     Every player plays the same row, so utility is each player's payoff.
     """
 
-    profile: np.ndarray
-    best_response: np.ndarray
     epsilon_prime: float
     closed_form_deviation: float
     utility: float
@@ -118,12 +100,12 @@ def truth_telling_profile(scenario: GameScenario) -> np.ndarray:
     n, m = scenario.n, scenario.trust.size
     profile = np.zeros((n, m + n))
     if scenario.kind == "perfect":
-        profile[:, :m] = _normalize(scenario.trust)
+        profile[:, :m] = f1(scenario.trust)
     elif scenario.kind == "noisy":
-        profile[:, :m] = _normalize(scenario.belief)
+        profile[:, :m] = f1(scenario.belief)
     else:  # hierarchy
         k = scenario.k
-        profile[:k, :m] = _normalize(scenario.trust)
+        profile[:k, :m] = f1(scenario.trust)
         if scenario.fresh_weights is None:
             profile[k:, m : m + k] = 1.0 / k
         else:
@@ -131,15 +113,14 @@ def truth_telling_profile(scenario: GameScenario) -> np.ndarray:
     return profile
 
 
-def best_response_to_mass(
-    trust: np.ndarray, opponent_mass: np.ndarray, stake: float = FREE_SERVER_STAKE
-) -> np.ndarray:
+def best_response_to_mass(trust: np.ndarray, opponent_mass: np.ndarray) -> np.ndarray:
     """Exact waterfilling allocation against fixed aggregate opponent mass.
 
-    Free servers (positive trust, no opponent mass) get the stake.  Sorted by
-    decreasing R_j / b_j, the contested servers are active on a prefix (Boyd &
-    Vandenberghe, Convex Optimization, 5.5.3): the longest prefix whose last
-    server still gets a positive KKT share at that prefix's water level.
+    Free servers (positive trust, no opponent mass) get FREE_SERVER_STAKE.
+    Sorted by decreasing R_j / b_j, the contested servers are active on a
+    prefix (Boyd & Vandenberghe, Convex Optimization, 5.5.3): the longest
+    prefix whose last server still gets a positive KKT share at that prefix's
+    water level.
     """
     ratings = np.asarray(trust, dtype=float)
     mass = np.asarray(opponent_mass, dtype=float)
@@ -150,8 +131,8 @@ def best_response_to_mass(
     m = ratings.size
     allocation = np.zeros(m)
     free = (mass <= 0) & (ratings > 0)
-    allocation[free] = stake
-    budget = 1.0 - stake * int(free.sum())
+    allocation[free] = FREE_SERVER_STAKE
+    budget = 1.0 - FREE_SERVER_STAKE * int(free.sum())
     contested = np.where((mass > 0) & (ratings > 0))[0]
     if contested.size == 0:
         if free.any():
@@ -175,21 +156,6 @@ def best_response_to_mass(
     return allocation
 
 
-def best_response_numeric(profile: np.ndarray, trust: np.ndarray, player: int) -> np.ndarray:
-    """Best server allocation for one player against a server-only profile."""
-    profile = np.asarray(profile, dtype=float)
-    trust = _check_trust(trust)
-    m = trust.size
-    n = profile.shape[0]
-    validate_profile(profile, m, n)
-    if not 0 <= player < n:
-        raise ValueError(f"player index {player} out of range 0..{n - 1}")
-    others = np.arange(n) != player
-    if np.max(np.abs(profile[others, m:])) > 1e-12:
-        raise ValueError("opponents endorse users; the reduced best response does not apply")
-    return best_response_to_mass(trust, profile[others, :m].sum(axis=0))
-
-
 def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> np.ndarray:
     """Interior best response x_j = n sqrt(R_j R'_j) / sum_k sqrt(R_k R'_k) - (n-1) N(R')_j.
 
@@ -202,20 +168,14 @@ def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> 
         raise ValueError("trust and belief must be vectors of equal length")
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    cross = np.sqrt(ratings * belief)
+    # sqrt(R) * sqrt(R'), not sqrt(R * R'): the product can underflow to 0.
+    cross = np.sqrt(ratings) * np.sqrt(belief)
     total = cross.sum()
     if total <= 0:
         raise DegenerateBelief("trust and belief share no supported server")
-    x = n * cross / total - (n - 1) * _normalize(belief)
+    x = n * cross / total - (n - 1) * f1(belief)
     x = np.maximum(x, 0.0)
     return x / x.sum()
-
-
-def _bipartite_profile(row: np.ndarray, n: int) -> np.ndarray:
-    m = row.size
-    profile = np.zeros((n, m + n))
-    profile[:, :m] = row
-    return profile
 
 
 def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> EquilibriumReport:
@@ -225,7 +185,7 @@ def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> Eq
     best response's utility, or the closed form's when that is higher, over
     the utility of playing N(belief).
     """
-    nr_belief = _normalize(belief)
+    nr_belief = f1(belief)
     mass = (n - 1) * nr_belief
     base = bipartite_utility(nr_belief, mass, ratings)
     response = best_response_to_mass(ratings, mass)
@@ -238,11 +198,8 @@ def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> Eq
     else:
         deviation = float(np.max(np.abs(response - closed)))
         closed_utility = bipartite_utility(closed, mass, ratings)
-        if closed_utility > best_utility:
-            response, best_utility = closed, closed_utility
+        best_utility = max(best_utility, closed_utility)
     return EquilibriumReport(
-        profile=_bipartite_profile(nr_belief, n),
-        best_response=response,
         epsilon_prime=max(0.0, best_utility - base),
         closed_form_deviation=deviation,
         utility=base,
@@ -266,8 +223,10 @@ def verify_unique_nash(
     ratings = _check_trust(trust)
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
+    if probes < 1:
+        raise ValueError(f"need at least one probe, got {probes}")
     report = _common_belief_defect(ratings, ratings, n)
-    nr = report.profile[0, : ratings.size]
+    nr = f1(ratings)
     rng = rng or substream(0, "nash-probes")
     probe_min = np.inf
     for _ in range(probes):
@@ -337,7 +296,7 @@ def hierarchy_best_response_gains(
     profile = truth_telling_profile(scenario)
     ratings = scenario.trust
     m, k = ratings.size, scenario.k
-    nr = _normalize(ratings)
+    nr = f1(ratings)
     base = expected_utilities(profile, ratings, cfg)
     visits, masses = _server_only_reduction(profile, m, k, cfg)
     gains = np.zeros(k)

@@ -15,8 +15,6 @@ import numpy as np
 from .pagerank import contribution_matrix
 from .repgraph import Config, from_strategies
 
-PROFILE_TOL = 1e-12
-
 
 def _check_trust(trust: np.ndarray) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
@@ -29,21 +27,19 @@ def _check_trust(trust: np.ndarray) -> np.ndarray:
     return trust
 
 
-def validate_profile(profile: np.ndarray, m: int, n: int) -> None:
-    """Raise ValueError unless profile is an n x (m+n) matrix of mixed strategies."""
-    profile = np.asarray(profile, dtype=float)
-    if profile.shape != (n, m + n):
-        raise ValueError(
-            f"profile shape {profile.shape} does not match n={n}, m={m} "
-            f"(expected {(n, m + n)})"
-        )
-    if not np.all(profile >= 0):
-        raise ValueError("strategy weights must be nonnegative")
-    sums = profile.sum(axis=1)
-    bad = np.where(~(np.abs(sums - 1.0) <= PROFILE_TOL))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"strategy row {i + 1} sums to {sums[i]:.12g}, expected 1")
+def f1(utilities: np.ndarray) -> np.ndarray:
+    """Normalize a nonnegative vector with positive mass to sum one.
+
+    The decoder f1 of the perfect-information game; it lives here so that
+    equilibrium, which decoder imports, can normalize with it too.
+    """
+    utilities = np.asarray(utilities, dtype=float)
+    if np.any(utilities < 0):
+        raise ValueError("cannot normalize a vector with negative entries")
+    total = utilities.sum()
+    if total <= 0:
+        raise ValueError("cannot normalize a vector without positive mass")
+    return utilities / total
 
 
 @dataclass
@@ -79,7 +75,6 @@ def realized_utilities(profile: np.ndarray, outcome: np.ndarray, config: Config)
     m = profile.shape[1] - n
     if outcome.shape != (m,):
         raise ValueError(f"outcome has shape {outcome.shape}, expected ({m},)")
-    validate_profile(profile, m, n)
     shares = contribution_matrix(from_strategies(profile, m, n), config)
     return shares @ outcome
 
@@ -92,7 +87,6 @@ def expected_utilities(profile: np.ndarray, trust: np.ndarray, config: Config) -
     m = profile.shape[1] - n
     if trust.shape != (m,):
         raise ValueError(f"trust has shape {trust.shape}, expected ({m},)")
-    validate_profile(profile, m, n)
     shares = contribution_matrix(from_strategies(profile, m, n), config)
     return shares @ trust
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .repgraph import Config, RepGraph, _require_valid
 
-_ORACLE_MAX_STATES = 200
-
 
 class NonConvergence(RuntimeError):
     """Power iteration exhausted its budget before reaching tolerance."""
@@ -91,32 +89,6 @@ def stationary(chain: np.ndarray, config: Config) -> StationaryDistribution:
         f"residual {residual:.3e} above tolerance {config.tol:.3e} "
         f"after {config.max_iters} iterations"
     )
-
-
-def stationary_oracle(chain: np.ndarray) -> StationaryDistribution:
-    """Stationary distribution via a dense least-squares solve.
-
-    Solves pi (P - I) = 0 subject to sum(pi) = 1 and verifies both that the
-    solution is unique (system has full rank) and that it is consistent.
-    Intended as an independent cross-check for small chains.
-    """
-    chain = np.asarray(chain, dtype=float)
-    _check_stochastic(chain)
-    size = chain.shape[0]
-    if size > _ORACLE_MAX_STATES:
-        raise ValueError(f"oracle supports up to {_ORACLE_MAX_STATES} states, got {size}")
-    system = np.vstack([chain.T - np.eye(size), np.ones((1, size))])
-    rhs = np.zeros(size + 1)
-    rhs[-1] = 1.0
-    solution, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    if rank < size:
-        raise ValueError("stationary distribution is not unique for this chain")
-    if np.max(np.abs(system @ solution - rhs)) > 1e-8:
-        raise ValueError("no consistent stationary distribution found")
-    pi = np.clip(solution, 0.0, None)
-    pi /= pi.sum()
-    residual = float(np.abs(pi @ chain - pi).sum())
-    return StationaryDistribution(pi, 0, residual)
 
 
 def _user_chain(graph: RepGraph, config: Config) -> np.ndarray:

@@ -8,12 +8,44 @@ package picks the size from the KKT condition.  Tour counts are rebuilt one
 source at a time from the explicit restarted chain and its dense
 least-squares stationary vector, which shares nothing with the
 fundamental-matrix solve.  Scores are checked against one dense linear solve
-on the user block, which shares nothing with the power iteration.
+on the user block, which shares nothing with the power iteration.  Ranking
+inversions are counted pair by pair, where the package compares all pairs at
+once.
 """
 
 import numpy as np
 
-from trep.pagerank import stationary_oracle
+from trep.equilibrium import best_response_to_mass
+from trep.pagerank import StationaryDistribution, _check_stochastic
+from trep.repgraph import from_strategies, validate
+
+ORACLE_MAX_STATES = 200
+
+
+def stationary_oracle(chain):
+    """Stationary distribution via a dense least-squares solve.
+
+    Solves pi (P - I) = 0 subject to sum(pi) = 1 and verifies both that the
+    solution is unique (system has full rank) and that it is consistent.
+    Intended as an independent cross-check for small chains.
+    """
+    chain = np.asarray(chain, dtype=float)
+    _check_stochastic(chain)
+    size = chain.shape[0]
+    if size > ORACLE_MAX_STATES:
+        raise ValueError(f"oracle supports up to {ORACLE_MAX_STATES} states, got {size}")
+    system = np.vstack([chain.T - np.eye(size), np.ones((1, size))])
+    rhs = np.zeros(size + 1)
+    rhs[-1] = 1.0
+    solution, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    if rank < size:
+        raise ValueError("stationary distribution is not unique for this chain")
+    if np.max(np.abs(system @ solution - rhs)) > 1e-8:
+        raise ValueError("no consistent stationary distribution found")
+    pi = np.clip(solution, 0.0, None)
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ chain - pi).sum())
+    return StationaryDistribution(pi, 0, residual)
 
 
 def project_to_simplex(v):
@@ -140,6 +172,27 @@ def best_response_by_enumeration(trust, opponent_mass, stake=1e-12):
     return best
 
 
+def best_response_numeric(profile, trust, player):
+    """Best server allocation for one player against a server-only profile.
+
+    Not an oracle: the package's waterfill solver applied to the opponents'
+    summed server rows, for tests that start from a whole profile.
+    """
+    profile = np.asarray(profile, dtype=float)
+    trust = np.asarray(trust, dtype=float)
+    m = trust.size
+    n = profile.shape[0]
+    violations = validate(from_strategies(profile, m, n))
+    if violations:
+        raise ValueError("; ".join(violations))
+    if not 0 <= player < n:
+        raise ValueError(f"player index {player} out of range 0..{n - 1}")
+    others = np.arange(n) != player
+    if np.max(np.abs(profile[others, m:])) > 1e-12:
+        raise ValueError("opponents endorse users; the reduced best response does not apply")
+    return best_response_to_mass(trust, profile[others, :m].sum(axis=0))
+
+
 def bipartite_expected_utilities(profile, trust):
     """Expected utilities of a server-only profile (E_u = 0) in closed form.
 
@@ -205,3 +258,22 @@ def row_violations(edges):
         elif not abs(total - 1.0) <= 1e-12:
             violations.append(f"row {i} sums to {total:.12g}, expected 1")
     return violations
+
+
+def count_inversions_pairwise(rho, trust):
+    """count_inversions by a loop over the pairs: a pair with strictly
+    different trust is whole when the scores rank it the other way and half
+    when they tie; halves round up in total."""
+    whole = 0
+    halves = 0
+    m = len(rho)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if trust[i] == trust[j]:
+                continue
+            hi, lo = (i, j) if trust[i] > trust[j] else (j, i)
+            if rho[hi] < rho[lo]:
+                whole += 1
+            elif rho[hi] == rho[lo]:
+                halves += 1
+    return whole + (halves + 1) // 2

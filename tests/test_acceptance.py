@@ -30,10 +30,11 @@ from trep.pagerank import (
     clique_chain,
     reputation_scores,
     stationary,
-    stationary_oracle,
 )
 from trep.repgraph import Config, RepGraph
 from trep.rng import substream
+
+from oracles import stationary_oracle
 
 SEED = 20260819
 CFG = Config()

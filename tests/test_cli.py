@@ -257,3 +257,4 @@ def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
     assert main(args + bad) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "f2.csv").exists()
+    assert not (tmp_path / "noisy.csv").exists()  # checked before the sweep runs

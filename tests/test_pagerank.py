@@ -12,12 +12,11 @@ from trep.pagerank import (
     contribution_matrix,
     reputation_scores,
     stationary,
-    stationary_oracle,
     tour_counts,
 )
 from trep.repgraph import Config, RepGraph, from_strategies
 
-from oracles import designated_user_mass, single_source_tour_counts
+from oracles import designated_user_mass, single_source_tour_counts, stationary_oracle
 
 CFG = Config()
 
