@@ -39,7 +39,6 @@ from .equilibrium import (
     verify_unique_nash,
 )
 from .game import (
-    TRepGame,
     bipartite_utility,
     expected_utilities,
     realized_utilities,
@@ -73,7 +72,6 @@ __all__ = [
     "RepGraph",
     "RoundEvent",
     "StationaryDistribution",
-    "TRepGame",
     "best_response_closed_form",
     "best_response_to_mass",
     "bipartite_utility",

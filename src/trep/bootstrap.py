@@ -7,39 +7,33 @@ then on, in every iteration.  A violation exposes the lexicographically first
 faulty committee member, which is excluded, and the whole schedule restarts
 with the survivors.  The schedule is long enough that every corrupted active
 server is observed at or after its fault round, so the surviving set equals
-the honest set exactly.
+the honest set exactly.  The final committee comes from the scores of the
+fixed endorsement profile, so it is picked once, not per run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import decode
-from .game import TRepGame, realized_utilities, sample_nature
-from .repgraph import Config, from_strategies
+from .game import realized_utilities, sample_nature
+from .repgraph import Config
 
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Schedule parameters: rounds per pass, committee size, final committee."""
+    """Schedule parameters: rounds per pass and probing committee size."""
 
     lam: int
     committee_size: int
-    ell: int
-    fraction: float = 0.9
 
     def __post_init__(self):
         if self.lam < 1:
             raise ValueError(f"lam must be at least 1, got {self.lam}")
         if self.committee_size < 1:
             raise ValueError(f"committee size must be at least 1, got {self.committee_size}")
-        if self.ell < 1:
-            raise ValueError(f"ell must be at least 1, got {self.ell}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in (0, 1], got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -55,36 +49,28 @@ class RoundEvent:
     culprit: int | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BootstrapTrace:
     """Complete record of one bootstrapping run."""
 
-    events: list[RoundEvent] = field(default_factory=list)
-    restarts: int = 0
-    detected: tuple[int, ...] = ()
-    honest: np.ndarray | None = None
-    final_outcome: np.ndarray | None = None
-    rho: np.ndarray | None = None
-    committee: list[int] | None = None
+    events: list[RoundEvent]
+    restarts: int
+    detected: tuple[int, ...]
+    honest: np.ndarray
+    final_outcome: np.ndarray
 
 
 def run_bootstrap(
-    game: TRepGame,
-    profile: np.ndarray,
-    bcfg: BootstrapConfig,
-    rng: np.random.Generator,
+    trust: np.ndarray, bcfg: BootstrapConfig, rng: np.random.Generator
 ) -> BootstrapTrace:
     """Probe servers in committees until a full schedule passes cleanly."""
-    m, n = game.m, game.n
-    # from_strategies checks the shape and decode the rows, both before any draw
-    rho = decode(from_strategies(profile, m, n).edges, game.config).rho
+    m = np.asarray(trust).size
+    if m < 2:
+        raise ValueError(f"need at least 2 servers, got {m}")
     if bcfg.committee_size > m:
         raise ValueError(f"committee size {bcfg.committee_size} exceeds server count {m}")
-    if bcfg.ell > m:
-        raise ValueError(f"ell {bcfg.ell} exceeds server count {m}")
-    honest = sample_nature(game.trust, rng)
+    honest = sample_nature(trust, rng)
     fault_round = rng.integers(1, bcfg.lam + 1, size=m)
-    trace = BootstrapTrace(honest=honest)
     excluded: set[int] = set()
     events: list[RoundEvent] = []
     restarts = 0
@@ -110,13 +96,7 @@ def run_bootstrap(
     else:
         raise RuntimeError("bootstrap exceeded its restart budget; this is a bug")
     outcome = np.array([0 if j in excluded else int(honest[j]) for j in range(m)])
-    trace.events = events
-    trace.restarts = restarts
-    trace.detected = tuple(sorted(excluded))
-    trace.final_outcome = outcome
-    trace.rho = rho
-    trace.committee = select_committee(rho, bcfg.ell, bcfg.fraction)
-    return trace
+    return BootstrapTrace(events, restarts, tuple(sorted(excluded)), honest, outcome)
 
 
 def distribute_rewards(
@@ -127,14 +107,18 @@ def distribute_rewards(
 
 
 def select_committee(rho: np.ndarray, ell: int, fraction: float) -> list[int]:
-    """Top servers by score: sort descending (ties by index), keep ceil(fraction * ell)."""
+    """Top servers by score: sort descending (ties by index), keep ceil(fraction * ell).
+
+    A product within 1e-9 above an integer counts as that integer, so float
+    rounding (0.28 * 25 = 7.000000000000001) does not add a member.
+    """
     rho = np.asarray(rho, dtype=float)
     m = rho.size
     if not 1 <= ell <= m:
         raise ValueError(f"ell must lie in 1..{m}, got {ell}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    size = math.ceil(fraction * ell)
+    size = max(1, math.ceil(fraction * ell - 1e-9))
     order = sorted(range(m), key=lambda j: (-rho[j], j))
     return order[:size]
 

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, honest_majority_check, run_bootstrap, trace_event_log
+from .bootstrap import (
+    BootstrapConfig,
+    honest_majority_check,
+    run_bootstrap,
+    select_committee,
+    trace_event_log,
+)
 from .decoder import decode, decode_result_csv, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
@@ -19,7 +25,6 @@ from .equilibrium import (
     truth_telling_profile,
     verify_unique_nash,
 )
-from .game import TRepGame
 from .pagerank import AllServersUntrusted, NonConvergence
 from .repgraph import Config, ParseError, load
 from .rng import substream
@@ -80,8 +85,8 @@ def cmd_decode(args) -> int:
 def cmd_nash(args) -> int:
     graph, cfg = _load_scenario(args)
     trust = _require_trust(graph, "nash")
-    n = args.n or graph.n
-    if args.k:
+    n = args.n if args.n is not None else graph.n
+    if args.k is not None:
         rows = []
         reference = None
         worst_gain = 0.0
@@ -121,7 +126,7 @@ def cmd_nash(args) -> int:
 def cmd_noisy(args) -> int:
     graph, cfg = _load_scenario(args)
     trust = _require_trust(graph, "noisy")
-    n = args.n or graph.n
+    n = args.n if args.n is not None else graph.n
     epsilons = args.epsilon or list(DEFAULT_EPSILONS)
     # The f2 checks run first, so a bad --p or --delta fails before the sweep
     # writes noisy.csv; their "f2" streams are independent of the sweep's.
@@ -172,19 +177,18 @@ def cmd_noisy(args) -> int:
 def cmd_bootstrap(args) -> int:
     graph, cfg = _load_scenario(args)
     trust = _require_trust(graph, "bootstrap")
-    game = TRepGame(n=graph.n, m=graph.m, trust=trust, config=cfg)
-    committee = args.committee if args.committee is not None else min(3, graph.m)
+    size = args.committee if args.committee is not None else min(3, graph.m)
+    bcfg = BootstrapConfig(lam=args.lam, committee_size=size)
+    # The final committee depends on the scores only, never on the draws
     ell = args.ell if args.ell is not None else graph.m
-    bcfg = BootstrapConfig(
-        lam=args.lam, committee_size=committee, ell=ell, fraction=args.fraction
-    )
+    committee = select_committee(decode(graph.edges, cfg).rho, ell, args.fraction)
     rows = []
     restarts = majorities = 0
     for trial in range(args.trials):
-        trace = run_bootstrap(game, graph.edges, bcfg, substream(args.seed, "boot", trial))
+        trace = run_bootstrap(trust, bcfg, substream(args.seed, "boot", trial))
         if trial == 0:
             log = trace_event_log(trace)
-        majority, margin = honest_majority_check(trace.committee, trace.honest)
+        majority, margin = honest_majority_check(committee, trace.honest)
         detected = ";".join(str(j + 1) for j in trace.detected) or "none"
         rows.append(
             f"{trial},{trace.restarts},{len(trace.events)},{detected},"

@@ -8,8 +8,6 @@ and a user's utility is its share of every successful server's pot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pagerank import contribution_matrix
@@ -40,25 +38,6 @@ def f1(utilities: np.ndarray) -> np.ndarray:
     if total <= 0:
         raise ValueError("cannot normalize a vector without positive mass")
     return utilities / total
-
-
-@dataclass
-class TRepGame:
-    """Game instance: player count, server count, trust levels, solver config."""
-
-    n: int
-    m: int
-    trust: np.ndarray
-    config: Config
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 players, got {self.n}")
-        if self.m < 2:
-            raise ValueError(f"need at least 2 servers, got {self.m}")
-        self.trust = _check_trust(self.trust)
-        if self.trust.shape != (self.m,):
-            raise ValueError(f"trust has shape {self.trust.shape}, expected ({self.m},)")
 
 
 def sample_nature(trust: np.ndarray, rng: np.random.Generator) -> np.ndarray:

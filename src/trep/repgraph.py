@@ -163,6 +163,7 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     alpha: float | None = None
     trust: np.ndarray | None = None
     entries: dict[tuple[int, int], float] = {}
+    declared: set[str] = set()
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -175,14 +176,20 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
             continue
         fields = line.split()
         key, args = fields[0], fields[1:]
-        if key == "users":
+        if key in ("users", "servers", "alpha", "trust"):
+            if key in declared:
+                raise ParseError(f"repeated {key} declaration", lineno)
+            declared.add(key)
+        if key in ("users", "servers"):
             if len(args) != 1:
-                raise ParseError("users takes exactly one value", lineno)
-            n = _parse_int(args[0], "users", lineno)
-        elif key == "servers":
-            if len(args) != 1:
-                raise ParseError("servers takes exactly one value", lineno)
-            m = _parse_int(args[0], "servers", lineno)
+                raise ParseError(f"{key} takes exactly one value", lineno)
+            count = _parse_int(args[0], key, lineno)
+            if count < 0:
+                raise ParseError(f"{key} must be nonnegative, got {count}", lineno)
+            if key == "users":
+                n = count
+            else:
+                m = count
         elif key == "alpha":
             if len(args) != 1:
                 raise ParseError("alpha takes exactly one value", lineno)

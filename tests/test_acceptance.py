@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from trep.bootstrap import BootstrapConfig, distribute_rewards, run_bootstrap
+from trep.bootstrap import BootstrapConfig, distribute_rewards, run_bootstrap, select_committee
 from trep.cli import main
 from trep.decoder import (
     count_inversions,
@@ -24,7 +24,7 @@ from trep.equilibrium import (
     truth_telling_profile,
     verify_unique_nash,
 )
-from trep.game import TRepGame, realized_utilities
+from trep.game import realized_utilities
 from trep.pagerank import (
     build_designated_chain,
     clique_chain,
@@ -276,19 +276,20 @@ def test_bootstrap_outcomes_match_trust_statistics():
     ):
         trust = np.array([0.9, 0.75, 0.6, 0.45, 0.3])
         n, m = 6, trust.size
-        game = TRepGame(n=n, m=m, trust=trust, config=CFG)
         profile = bipartite_profile(trust / trust.sum(), n)
-        bcfg = BootstrapConfig(lam=8, committee_size=2, ell=3, fraction=1.0)
+        # the profile is fixed, so its scores and committee are too: check once
+        rho = decode(profile, CFG).rho
+        assert count_inversions(rho, trust) == 0
+        assert select_committee(rho, ell=3, fraction=1.0) == [0, 1, 2]
+        bcfg = BootstrapConfig(lam=8, committee_size=2)
         outcomes = np.empty((BOOT_RUNS, m), dtype=np.int64)
         for run in range(BOOT_RUNS):
-            trace = run_bootstrap(game, profile, bcfg, substream(SEED, "boot", run))
+            trace = run_bootstrap(trust, bcfg, substream(SEED, "boot", run))
             outcomes[run] = trace.final_outcome
             rewards = distribute_rewards(trace, profile, CFG)
             np.testing.assert_array_equal(
                 rewards, realized_utilities(profile, trace.final_outcome, CFG)
             )
-            assert count_inversions(trace.rho, trust) == 0
-            assert trace.committee == [0, 1, 2]
         empirical = outcomes.mean(axis=0)
         sigma = np.sqrt(trust * (1.0 - trust) / BOOT_RUNS)
         assert np.all(np.abs(empirical - trust) <= 3.0 * sigma), (

@@ -42,6 +42,14 @@ edge 1 1 nan
 edge 2 2 1
 """
 
+ONE_SERVER = """trep v1
+users 2
+servers 1
+alpha 0.15
+trust 0.5
+edge 1 1 1
+edge 2 1 1
+"""
 
 USER_EDGES = """trep v1
 users 3
@@ -216,6 +224,30 @@ def test_bootstrap_writes_log_and_csv(scenario, tmp_path):
     assert len(lines) == 1 + 5
 
 
+def test_bootstrap_scores_the_profile_once(scenario, tmp_path, monkeypatch):
+    import trep.decoder
+
+    calls = []
+    scores = trep.decoder.reputation_scores
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scores(*args, **kwargs)
+
+    monkeypatch.setattr(trep.decoder, "reputation_scores", counted)
+    args = ["bootstrap", str(scenario), "--committee", "2", "--trials", "5"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_bootstrap_one_server_exits_2(tmp_path, capsys):
+    path = tmp_path / "one.trep"
+    path.write_text(ONE_SERVER, encoding="utf-8")
+    assert main(["bootstrap", str(path), "--trials", "2", "--out", str(tmp_path)]) == 2
+    assert "at least 2 servers" in capsys.readouterr().err
+    assert not (tmp_path / "bootstrap.csv").exists()
+
+
 def test_bootstrap_parallel_matches_serial(scenario, tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
@@ -258,3 +290,16 @@ def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "f2.csv").exists()
     assert not (tmp_path / "noisy.csv").exists()  # checked before the sweep runs
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["nash", "--k", "0"], ["nash", "--n", "0"], ["noisy", "--n", "0"]],
+    ids=["nash-k0", "nash-n0", "noisy-n0"],
+)
+def test_zero_overrides_exit_2(scenario, tmp_path, capsys, args):
+    command, *override = args
+    argv = [command, str(scenario), "--trials", "2", "--out", str(tmp_path)] + override
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from trep.game import (
-    TRepGame,
     bipartite_utility,
     expected_utilities,
     realized_utilities,
@@ -205,12 +204,3 @@ def test_validate_profile_rejects_nan():
     with pytest.raises(ValueError):
         realized_utilities(np.array([[0.5, 0.5, 0, 0], [1, np.nan, 0, 0]]), np.array([1, 1]), CFG)
 
-
-def test_trep_game_validation():
-    TRepGame(n=2, m=2, trust=np.array([0.5, 0.5]), config=CFG)
-    with pytest.raises(ValueError):
-        TRepGame(n=1, m=2, trust=np.array([0.5, 0.5]), config=CFG)
-    with pytest.raises(ValueError):
-        TRepGame(n=2, m=2, trust=np.array([0.5, 1.5]), config=CFG)
-    with pytest.raises(ValueError):
-        TRepGame(n=2, m=2, trust=np.array([0.0, 0.0]), config=CFG)

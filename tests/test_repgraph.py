@@ -178,6 +178,30 @@ def test_load_rejects_duplicate_edge(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "extra, lineno",
+    [("users 2", 9), ("servers 2", 9), ("alpha 0.2", 9), ("trust 0.5 0.5\ntrust 0.5 0.5", 10)],
+    ids=["users", "servers", "alpha", "trust"],
+)
+def test_load_rejects_repeated_declaration(tmp_path, extra, lineno):
+    # the repeat follows the edges: a second servers line would silently
+    # change what their targets mean
+    path = tmp_path / "g.trep"
+    path.write_text(MINIMAL + extra + "\n")
+    key = extra.split()[0]
+    with pytest.raises(ParseError, match=rf"line {lineno}: repeated {key}") as exc:
+        load(path)
+    assert exc.value.lineno == lineno
+
+
+@pytest.mark.parametrize("key", ["users", "servers"])
+def test_load_rejects_negative_count(tmp_path, key):
+    path = tmp_path / "g.trep"
+    path.write_text(MINIMAL.replace(f"{key} 2", f"{key} -2"))
+    with pytest.raises(ParseError, match=rf"line [23]: {key} must be nonnegative, got -2"):
+        load(path)
+
+
 def test_load_ignores_comments_and_blank_lines(tmp_path):
     text = MINIMAL.replace("users 2", "users 2  # two endorsers\n\n# blank above")
     path = tmp_path / "g.trep"
