@@ -16,7 +16,7 @@ from .bootstrap import (
     select_committee,
     trace_event_log,
 )
-from .decoder import decode, decode_result_csv, f2_check, noisy_belief_two_point
+from .decoder import decode, decode_graph, decode_result_csv, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
     GameScenario,
@@ -73,7 +73,7 @@ def _require_trust(graph, command: str) -> np.ndarray:
 
 def cmd_decode(args) -> int:
     graph, cfg = _load_scenario(args)
-    result = decode(graph.edges, cfg, trust=graph.trust)
+    result = decode_graph(graph, cfg, trust=graph.trust)
     _write_text(Path(args.out) / "decode.csv", decode_result_csv(result, trust=graph.trust))
     print("rho " + " ".join(_fmt(v) for v in result.rho))
     print(f"inversions {'n/a' if result.inversions is None else result.inversions}")
@@ -87,6 +87,8 @@ def cmd_nash(args) -> int:
     trust = _require_trust(graph, "nash")
     n = args.n if args.n is not None else graph.n
     if args.k is not None:
+        if not 1 <= args.k <= n - 1:  # before the first draw needs k
+            raise ValueError(f"k must lie in 1..{n - 1}, got {args.k}")
         rows = []
         reference = None
         worst_gain = 0.0
@@ -181,7 +183,7 @@ def cmd_bootstrap(args) -> int:
     bcfg = BootstrapConfig(lam=args.lam, committee_size=size)
     # The final committee depends on the scores only, never on the draws
     ell = args.ell if args.ell is not None else graph.m
-    committee = select_committee(decode(graph.edges, cfg).rho, ell, args.fraction)
+    committee = select_committee(decode_graph(graph, cfg).rho, ell, args.fraction)
     rows = []
     restarts = majorities = 0
     for trial in range(args.trials):

@@ -16,7 +16,7 @@ import numpy as np
 from .equilibrium import GameScenario, truth_telling_profile
 from .game import f1
 from .pagerank import reputation_scores
-from .repgraph import Config, from_strategies
+from .repgraph import Config, RepGraph, from_strategies
 from .rng import substream
 
 
@@ -45,7 +45,14 @@ def decode(
     m = profile.shape[1] - n
     if m < 1:
         raise ValueError(f"profile shape {profile.shape} leaves no server columns")
-    rho = reputation_scores(from_strategies(profile, m, n), cfg)
+    return decode_graph(from_strategies(profile, m, n), cfg, trust)
+
+
+def decode_graph(
+    graph: RepGraph, config: Config | None = None, trust: np.ndarray | None = None
+) -> DecodeResult:
+    """decode() for a graph that is already built, such as one read by load()."""
+    rho = reputation_scores(graph, config or Config())
     inversions = None
     linf = None
     if trust is not None:

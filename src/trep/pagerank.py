@@ -73,10 +73,15 @@ def clique_chain(ratings: np.ndarray) -> np.ndarray:
     return np.tile(row, (ratings.size, 1))
 
 
-def stationary(chain: np.ndarray, config: Config) -> StationaryDistribution:
-    """Stationary distribution by power iteration from the uniform vector."""
-    chain = np.asarray(chain, dtype=float)
-    _check_stochastic(chain)
+def stationary(chain, config: Config) -> StationaryDistribution:
+    """Stationary distribution by power iteration from the uniform vector.
+
+    chain is a dense transition matrix, or the _UserChain operator, whose
+    rows are stochastic by construction.
+    """
+    if not isinstance(chain, _UserChain):
+        chain = np.asarray(chain, dtype=float)
+        _check_stochastic(chain)
     pi = np.full(chain.shape[0], 1.0 / chain.shape[0])
     residual = np.inf
     for iteration in range(1, config.max_iters + 1):
@@ -91,12 +96,27 @@ def stationary(chain: np.ndarray, config: Config) -> StationaryDistribution:
     )
 
 
-def _user_chain(graph: RepGraph, config: Config) -> np.ndarray:
-    keep = 1.0 - config.alpha
-    server_mass = graph.edges[:, : graph.m].sum(axis=1)
-    chain = keep * graph.edges[:, graph.m :]
-    chain += ((config.alpha + keep * server_mass) / graph.n)[:, None]
-    return chain
+class _UserChain:
+    """The n x n user chain P_U of a valid graph, never formed as a matrix.
+
+    pi @ chain is one matrix-free step on the graph's nonzeros:
+        pi P_U = (1 - alpha) pi E_u + (pi . c) 1^T,  c = (alpha + (1 - alpha) s) / n,
+    with s = E_s 1 (Langville & Meyer, "Deeper inside PageRank", 2004).
+    """
+
+    __array_ufunc__ = None  # makes `pi @ chain` call __rmatmul__
+
+    def __init__(self, graph: RepGraph, config: Config):
+        keep = 1.0 - config.alpha
+        n, m, rows, cols, weights = graph.n, graph.m, graph.rows, graph.cols, graph.weights
+        to_user = cols >= m
+        self.shape, self.src, self.dst = (n, n), rows[to_user], cols[to_user] - m
+        self.follow = keep * weights[to_user]
+        server_mass = np.bincount(rows, np.where(to_user, 0.0, weights), n)
+        self.jump = (config.alpha + keep * server_mass) / n
+
+    def __rmatmul__(self, pi: np.ndarray) -> np.ndarray:
+        return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + pi.dot(self.jump)
 
 
 def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
@@ -106,11 +126,13 @@ def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
     that of the n x n stochastic complement of the user block,
         P_U = (1 - alpha) E_u + ((alpha + (1 - alpha) s) / n) 1^T,  s = E_s 1,
     whose row i sums to (1 - alpha)(1 - s_i) + alpha + (1 - alpha) s_i = 1.
-    The scores are E_s^T pi_U, normalized.
+    P_U is never formed: `stationary` steps on the graph's nonzeros through
+    _UserChain.  The scores are E_s^T pi_U, normalized.
     """
     _require_valid(graph)
-    pi = stationary(_user_chain(graph, config), config).pi
-    received = graph.edges[:, : graph.m].T @ pi
+    pi = stationary(_UserChain(graph, config), config).pi
+    n, m = graph.n, graph.m  # the bins from m on, user targets, are dropped
+    received = np.bincount(graph.cols, graph.weights * pi[graph.rows], m + n)[:m]
     if not np.any(received > 0):
         raise AllServersUntrusted("no server receives any endorsement mass")
     return received / received.sum()
@@ -130,8 +152,9 @@ def tour_counts(graph: RepGraph, config: Config) -> np.ndarray:
     _require_valid(graph)
     n, m = graph.n, graph.m
     keep = 1.0 - config.alpha
-    visits = np.linalg.solve(np.eye(n) - keep * graph.edges[:, m:], np.eye(n))
-    return np.hstack([keep * visits @ graph.edges[:, :m], visits])
+    edges = graph.edges  # the solve is dense anyway
+    visits = np.linalg.solve(np.eye(n) - keep * edges[:, m:], np.eye(n))
+    return np.hstack([keep * visits @ edges[:, :m], visits])
 
 
 def contribution_matrix(graph: RepGraph, config: Config) -> np.ndarray:

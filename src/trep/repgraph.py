@@ -7,13 +7,14 @@ the remaining n columns endorse users.  Servers own no edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12       # row sums within this of 1 are accepted verbatim
 ROW_SUM_RENORM = 1e-9     # drift below this is renormalized, above is rejected
+_EPS = float(np.finfo(float).eps)
 
 
 class ParseError(ValueError):
@@ -50,50 +51,103 @@ class Config:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
-@dataclass
 class RepGraph:
     """An endorsement graph, optionally annotated with server trust levels.
 
-    Construction never validates; call validate() to collect violations.
+    The graph is stored as an edge list: `rows` (users), `cols` (targets,
+    servers first) and `weights`, 0-based, sorted by row then column, with
+    zero weights dropped.  `edges` is the dense n x (m + n) matrix, built on
+    first access unless the graph was built from it.  All arrays are
+    read-only, and a graph is not changed after construction, so it is
+    validated once.  Construction never validates; call validate() to collect
+    violations.
     """
 
-    n: int
-    m: int
-    edges: np.ndarray
-    trust: np.ndarray | None = None
+    __slots__ = ("n", "m", "rows", "cols", "weights", "trust", "_valid", "_dense")
 
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        if self.trust is not None:
-            self.trust = np.asarray(self.trust, dtype=float)
+    def __init__(self, n: int, m: int, edges: np.ndarray, trust: np.ndarray | None = None):
+        dense = np.array(edges, dtype=float)  # kept as the dense view
+        if dense.shape != (n, m + n):
+            raise ValueError(f"edge matrix shape {dense.shape} does not match n={n}, m={m}")
+        rows, cols = dense.nonzero()
+        self._fill(n, m, rows, cols, dense[rows, cols], trust, dense)
+
+    @classmethod
+    def from_coo(cls, n, m, rows, cols, weights, trust=None) -> RepGraph:
+        """Graph from 0-based edge arrays sorted by row then column, each
+        (row, column) pair at most once; zero weights are dropped."""
+        keep = np.asarray(weights) != 0
+        graph = cls.__new__(cls)
+        rows, cols = np.asarray(rows, dtype=np.intp)[keep], np.asarray(cols, dtype=np.intp)[keep]
+        graph._fill(n, m, rows, cols, np.asarray(weights, dtype=float)[keep], trust, None)
+        return graph
+
+    def _fill(self, n, m, rows, cols, weights, trust, dense) -> None:
+        # rows, cols, weights and dense are fresh arrays; trust is the caller's
+        if trust is not None:
+            trust = np.array(trust, dtype=float)
+            trust.flags.writeable = False
+        if dense is not None:
+            dense.flags.writeable = False
+        rows.flags.writeable = cols.flags.writeable = weights.flags.writeable = False
+        self.n, self.m, self.rows, self.cols, self.weights = n, m, rows, cols, weights
+        self.trust, self._valid, self._dense = trust, False, dense
+
+    @property
+    def edges(self) -> np.ndarray:
+        if self._dense is None:
+            dense = np.zeros((self.n, self.m + self.n))
+            dense[self.rows, self.cols] = self.weights
+            dense.flags.writeable = False
+            self._dense = dense
+        return self._dense
+
+
+def _dense_row(width: int, rows, cols, weights, i: int) -> tuple[np.ndarray, slice]:
+    """Dense row i of a row-sorted edge list, and the slice that holds it."""
+    lo, hi = np.searchsorted(rows, [i, i + 1])
+    row = np.zeros(width)
+    row[cols[lo:hi]] = weights[lo:hi]
+    return row, slice(lo, hi)
+
+
+def _slack(rows: np.ndarray) -> float:
+    """How far a bincount row total may lie from the dense row sum.
+
+    bincount adds a row's weights in turn, a dense sum adds them pairwise;
+    for rows summing to less than 2 the two differ by less than this.  Rows
+    this close to a tolerance are decided on the dense row sum, so every
+    decision is the dense one, bit for bit.
+    """
+    return (np.bincount(rows).max(initial=0) + 128) * 2 * _EPS
 
 
 def validate(graph: RepGraph) -> list[str]:
-    """Return all invariant violations of the graph (empty list when valid)."""
+    """Return all invariant violations of the graph (empty list when valid).
+
+    O(nnz): rows are screened with bincount sums; only flagged rows are
+    built densely, for their messages.
+    """
     violations: list[str] = []
     n, m = graph.n, graph.m
     if n < 2:
         violations.append(f"n must be at least 2, got {n}")
     if m < 1:
         violations.append(f"m must be at least 1, got {m}")
-    edges = graph.edges
-    if edges.ndim != 2 or edges.shape != (n, m + n):
-        violations.append(
-            f"edge matrix shape {edges.shape} does not match n={n}, m={m} "
-            f"(expected {(n, m + n)})"
-        )
-        return violations
-    negative = np.any(edges < 0, axis=1)
-    totals = edges.sum(axis=1)
-    bad_sum = ~(np.abs(totals - 1.0) <= ROW_SUM_TOL)  # negated so NaN rows are flagged
-    for i in np.flatnonzero(negative | bad_sum):
-        if negative[i]:
-            j = int(np.argmin(edges[i]))
-            violations.append(f"row {i + 1} column {j + 1}: negative weight {edges[i, j]:.12g}")
-        elif totals[i] == 0.0:
+    rows, weights = graph.rows, graph.weights
+    accept = np.abs(np.bincount(rows, weights, minlength=n) - 1.0) <= ROW_SUM_TOL - _slack(rows)
+    if np.any(weights < 0):
+        accept &= np.bincount(rows, weights < 0, minlength=n) == 0
+    for i in np.flatnonzero(~accept):  # NaN totals are not accepted either
+        row = _dense_row(m + n, rows, graph.cols, weights, i)[0]
+        total = row.sum()
+        if np.any(row < 0):
+            j = int(np.argmin(row))
+            violations.append(f"row {i + 1} column {j + 1}: negative weight {row[j]:.12g}")
+        elif total == 0.0:
             violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
-        else:
-            violations.append(f"row {i + 1} sums to {totals[i]:.12g}, expected 1")
+        elif not abs(total - 1.0) <= ROW_SUM_TOL:
+            violations.append(f"row {i + 1} sums to {total:.12g}, expected 1")
     if graph.trust is not None:
         trust = graph.trust
         if trust.shape != (m,):
@@ -108,9 +162,13 @@ def validate(graph: RepGraph) -> list[str]:
 
 
 def _require_valid(graph: RepGraph) -> None:
+    """Raise ValueError on any violation; a graph is checked once."""
+    if graph._valid:
+        return
     violations = validate(graph)
     if violations:
         raise ValueError("; ".join(violations))
+    graph._valid = True
 
 
 def from_strategies(profile: np.ndarray, m: int, n: int) -> RepGraph:
@@ -119,13 +177,7 @@ def from_strategies(profile: np.ndarray, m: int, n: int) -> RepGraph:
     Row i of the profile is user i's mixed strategy over the m + n actions;
     action j < m endorses server j, action m + t endorses user t.
     """
-    profile = np.asarray(profile, dtype=float)
-    if profile.ndim != 2 or profile.shape != (n, m + n):
-        raise ValueError(
-            f"profile shape {profile.shape} does not match n={n}, m={m} "
-            f"(expected {(n, m + n)})"
-        )
-    return RepGraph(n=n, m=m, edges=profile.copy())
+    return RepGraph(n=n, m=m, edges=profile)
 
 
 # ---------------------------------------------------------------- file format
@@ -157,8 +209,69 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     Grammar violations raise ParseError with the offending line number;
     structural violations (bad row sums, dangling users) raise ValueError.
     Row sums drifting from 1 by less than 1e-9 are silently renormalized.
+    No dense matrix is built: the edge lines go straight to the edge list.
     """
     text = Path(path).read_text(encoding="utf-8")
+    n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
+    drift, slack = np.abs(np.bincount(rows, weights, minlength=n) - 1.0), _slack(rows)
+    for i in np.flatnonzero((drift > ROW_SUM_TOL - slack) & (drift < ROW_SUM_RENORM + slack)):
+        row, span = _dense_row(m + n, rows, cols, weights, i)
+        total = row.sum()
+        if total > 0 and ROW_SUM_TOL < abs(total - 1.0) < ROW_SUM_RENORM:
+            weights[span] /= total
+    graph = RepGraph.from_coo(n, m, rows, cols, weights, trust)
+    _require_valid(graph)
+    return graph, Config(alpha=alpha)
+
+
+def _parse_bulk(text: str) -> tuple | None:
+    """_parse_lines for a file whose edge lines are all valid, or None.
+
+    The declarations go through the line loop on their own; the edge lines
+    are split as one text and converted in bulk with the same int and float
+    builtins.  Any failed check returns None, so that the line loop parses
+    the whole file again and reports the first error at its line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    is_edge = [line.lstrip().startswith("edge") for line in lines]
+    count = sum(is_edge)
+    first = is_edge.index(True) if count else len(lines)
+    try:
+        n, m, alpha, trust, *_ = _parse_lines("\n".join(l for l, e in zip(lines, is_edge) if not e))
+    except ParseError:
+        return None
+    declared = {line.split()[0] for line in lines[:first] if line.strip()}
+    if not {"users", "servers"} <= declared or n * (m + n) >= 2**62:  # 2**62: keys overflow
+        return None
+    tokens = "\n".join(l for l, e in zip(lines, is_edge) if e).split()
+    # The k edge lines give 4k tokens.  Were one of another length, the first
+    # token of a later line, which starts with "edge", would fall into a
+    # number field, where int or float rejects it.
+    if len(tokens) != 4 * count or tokens[::4] != ["edge"] * count:
+        return None
+    try:
+        rows = np.fromiter(map(int, tokens[1::4]), np.intp, count) - 1
+        cols = np.fromiter(map(int, tokens[2::4]), np.intp, count) - 1
+        weights = np.fromiter(map(float, tokens[3::4]), float, count)
+    except (ValueError, OverflowError):
+        return None
+    keys = rows * (m + n) + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    in_range = not count or (rows.min() >= 0 and rows.max() < n and cols.min() >= 0 and cols.max() < m + n)
+    if not in_range or np.any(weights < 0) or np.any(keys[1:] == keys[:-1]):
+        return None
+    return n, m, alpha, trust, rows[order], cols[order], weights[order]
+
+
+def _parse_lines(text: str) -> tuple:
+    """n, m, alpha, trust and the row-sorted edge list of a scenario file.
+
+    Parses line by line; every grammar violation raises ParseError with its
+    line number.
+    """
     n = m = None
     alpha: float | None = None
     trust: np.ndarray | None = None
@@ -233,16 +346,10 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
         raise ParseError("missing users/servers declaration")
     if alpha is None:
         raise ParseError("missing alpha declaration")
-    edges = np.zeros((n, m + n))
-    for (i, j), w in entries.items():
-        edges[i - 1, j - 1] = w
-    for i in range(n):
-        total = edges[i].sum()
-        if total > 0 and ROW_SUM_TOL < abs(total - 1.0) < ROW_SUM_RENORM:
-            edges[i] /= total
-    graph = RepGraph(n=n, m=m, edges=edges, trust=trust)
-    _require_valid(graph)
-    return graph, Config(alpha=alpha)
+    keys = sorted(entries)
+    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
+    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
+    return n, m, alpha, trust, rows, cols, np.array([entries[k] for k in keys], dtype=float)
 
 
 def save(graph: RepGraph, config: Config, path: str | Path) -> None:
@@ -256,10 +363,7 @@ def save(graph: RepGraph, config: Config, path: str | Path) -> None:
     ]
     if graph.trust is not None:
         lines.append("trust " + " ".join(_fmt(v) for v in graph.trust))
-    for i in range(graph.n):
-        for j in range(graph.m + graph.n):
-            w = graph.edges[i, j]
-            if w != 0.0:
-                lines.append(f"edge {i + 1} {j + 1} {_fmt(w)}")
+    for i, j, w in zip(graph.rows.tolist(), graph.cols.tolist(), graph.weights.tolist()):
+        lines.append(f"edge {i + 1} {j + 1} {_fmt(w)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,14 +10,17 @@ least-squares stationary vector, which shares nothing with the
 fundamental-matrix solve.  Scores are checked against one dense linear solve
 on the user block, which shares nothing with the power iteration.  Ranking
 inversions are counted pair by pair, where the package compares all pairs at
-once.
+once.  Scenario files are parsed by the line-by-line loop into a dense
+matrix that `load` used before it parsed edge lines in bulk into an edge list.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from trep.equilibrium import best_response_to_mass
 from trep.pagerank import StationaryDistribution, _check_stochastic
-from trep.repgraph import from_strategies, validate
+from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, from_strategies, validate
 
 ORACLE_MAX_STATES = 200
 
@@ -277,3 +280,113 @@ def count_inversions_pairwise(rho, trust):
             elif rho[hi] == rho[lo]:
                 halves += 1
     return whole + (halves + 1) // 2
+
+
+def _oracle_int(token, what, lineno):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {token!r}", lineno) from None
+
+
+def _oracle_float(token, what, lineno):
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"{what} must be a number, got {token!r}", lineno) from None
+
+
+def load_oracle(path):
+    """repgraph.load as a line-by-line loop into a dense matrix.
+
+    Returns (n, m, alpha, trust, edges) or raises what load raises: the
+    ParseError with its line number, or the ValueError of validate.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    n = m = None
+    alpha: float | None = None
+    trust: np.ndarray | None = None
+    entries: dict[tuple[int, int], float] = {}
+    declared: set[str] = set()
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not header_seen:
+            if line != "trep v1":
+                raise ParseError(f"expected 'trep v1' header, got {line!r}", lineno)
+            header_seen = True
+            continue
+        fields = line.split()
+        key, args = fields[0], fields[1:]
+        if key in ("users", "servers", "alpha", "trust"):
+            if key in declared:
+                raise ParseError(f"repeated {key} declaration", lineno)
+            declared.add(key)
+        if key in ("users", "servers"):
+            if len(args) != 1:
+                raise ParseError(f"{key} takes exactly one value", lineno)
+            count = _oracle_int(args[0], key, lineno)
+            if count < 0:
+                raise ParseError(f"{key} must be nonnegative, got {count}", lineno)
+            if key == "users":
+                n = count
+            else:
+                m = count
+        elif key == "alpha":
+            if len(args) != 1:
+                raise ParseError("alpha takes exactly one value", lineno)
+            alpha = _oracle_float(args[0], "alpha", lineno)
+            if not 0.0 < alpha < 1.0:
+                raise ParseError(f"alpha must lie strictly between 0 and 1, got {alpha}", lineno)
+        elif key == "trust":
+            if m is None:
+                raise ParseError("trust must follow the servers declaration", lineno)
+            if len(args) != m:
+                raise ParseError(f"trust takes {m} values, got {len(args)}", lineno)
+            values = [_oracle_float(a, "trust", lineno) for a in args]
+            for value in values:
+                if not 0.0 <= value <= 1.0:
+                    raise ParseError(f"trust value {value} lies outside [0, 1]", lineno)
+            if not any(v > 0 for v in values):
+                raise ParseError("trust has no positive entry", lineno)
+            trust = np.array(values)
+        elif key == "edge":
+            if n is None or m is None:
+                raise ParseError("edges must follow the users/servers declarations", lineno)
+            if len(args) != 3:
+                raise ParseError("edge takes three values: user, target, weight", lineno)
+            i = _oracle_int(args[0], "edge source", lineno)
+            j = _oracle_int(args[1], "edge target", lineno)
+            w = _oracle_float(args[2], "edge weight", lineno)
+            if not 1 <= i <= n:
+                raise ParseError(f"edge source {i} out of range 1..{n}", lineno)
+            if not 1 <= j <= m + n:
+                raise ParseError(f"edge target {j} out of range 1..{m + n}", lineno)
+            if w < 0:
+                raise ParseError(f"edge weight must be nonnegative, got {w}", lineno)
+            if (i, j) in entries:
+                raise ParseError(f"duplicate edge {i} -> {j}", lineno)
+            entries[(i, j)] = w
+        else:
+            raise ParseError(f"unknown directive {key!r}", lineno)
+    if not header_seen:
+        raise ParseError("missing 'trep v1' header", 1)
+    if n is None or m is None:
+        raise ParseError("missing users/servers declaration")
+    if alpha is None:
+        raise ParseError("missing alpha declaration")
+    edges = np.zeros((n, m + n))
+    for (i, j), w in entries.items():
+        edges[i - 1, j - 1] = w
+    for i in range(n):
+        total = edges[i].sum()
+        if total > 0 and ROW_SUM_TOL < abs(total - 1.0) < ROW_SUM_RENORM:
+            edges[i] /= total
+    violations = [f"n must be at least 2, got {n}"] if n < 2 else []
+    violations += [f"m must be at least 1, got {m}"] if m < 1 else []
+    violations += row_violations(edges)
+    if violations:
+        raise ValueError("; ".join(violations))
+    return n, m, alpha, trust, edges

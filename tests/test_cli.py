@@ -303,3 +303,16 @@ def test_zero_overrides_exit_2(scenario, tmp_path, capsys, args):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize(
+    "override, players",
+    [(["--k", "-1"], 3), (["--k", "4"], 3), (["--k", "3"], 3), (["--n", "6", "--k", "7"], 6)],
+    ids=["k-negative", "k-above-n", "k-equals-n", "k-above-n-override"],
+)
+def test_nash_k_out_of_range_exits_2_before_any_draw(scenario, tmp_path, capsys, override, players):
+    argv = ["nash", str(scenario), "--trials", "2", "--out", str(tmp_path)] + override
+    assert main(argv) == 2
+    k = override[-1]
+    assert f"error: k must lie in 1..{players - 1}, got {k}" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from trep.pagerank import (
     AllServersUntrusted,
     NonConvergence,
-    _user_chain,
+    _UserChain,
     build_designated_chain,
     clique_chain,
     contribution_matrix,
@@ -345,7 +345,7 @@ def test_reputation_scores_match_full_chain(graph, alpha):
     server_pi = stationary_oracle(full).pi[:m]
     np.testing.assert_allclose(rho * server_pi.sum(), server_pi, rtol=0, atol=1e-12)
     # Servers receive (1 - alpha) E_s^T pi_U; the lifted vector is stationary.
-    pi_users = stationary(_user_chain(graph, cfg), cfg).pi
+    pi_users = stationary(_UserChain(graph, cfg), cfg).pi
     lifted = np.concatenate([(1.0 - alpha) * server_edges.T @ pi_users, pi_users])
     lifted /= lifted.sum()
     assert np.abs(lifted @ full - lifted).sum() <= 1e-9

@@ -3,15 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trep.repgraph import Config, ParseError, RepGraph, from_strategies, load, save, validate
+from trep.repgraph import (
+    Config,
+    ParseError,
+    RepGraph,
+    _parse_bulk,
+    from_strategies,
+    load,
+    save,
+    validate,
+)
 
-from oracles import row_violations
+from oracles import load_oracle, row_violations
+
+
+def bipartite_edges(n=2, m=2, row=(0.5, 0.5)):
+    edges = np.zeros((n, m + n))
+    edges[:, :m] = np.asarray(row)
+    return edges
 
 
 def bipartite_graph(n=2, m=2, row=(0.5, 0.5)):
-    edges = np.zeros((n, m + n))
-    edges[:, :m] = np.asarray(row)
-    return RepGraph(n=n, m=m, edges=edges)
+    return RepGraph(n=n, m=m, edges=bipartite_edges(n, m, row))
 
 
 # ---------------------------------------------------------------- validation
@@ -21,23 +34,23 @@ def test_validate_accepts_simple_bipartite():
 
 
 def test_validate_reports_bad_row_sum():
-    g = bipartite_graph()
-    g.edges[0, 1] = 0.6  # row sums to 1.1
-    violations = validate(g)
+    edges = bipartite_edges()
+    edges[0, 1] = 0.6  # row sums to 1.1
+    violations = validate(RepGraph(n=2, m=2, edges=edges))
     assert any("row 1" in v and "1.1" in v for v in violations)
 
 
 def test_validate_reports_negative_weight():
-    g = bipartite_graph()
-    g.edges[0, 0] = -0.1
-    g.edges[0, 1] = 1.1
-    assert any("negative" in v for v in validate(g))
+    edges = bipartite_edges()
+    edges[0, 0] = -0.1
+    edges[0, 1] = 1.1
+    assert any("negative" in v for v in validate(RepGraph(n=2, m=2, edges=edges)))
 
 
 def test_validate_reports_all_zero_row():
-    g = bipartite_graph()
-    g.edges[1, :] = 0.0
-    assert any("row 2" in v for v in validate(g))
+    edges = bipartite_edges()
+    edges[1, :] = 0.0
+    assert any("row 2" in v for v in validate(RepGraph(n=2, m=2, edges=edges)))
 
 
 def test_validate_reports_every_bad_row_in_order():
@@ -262,6 +275,156 @@ def test_round_trip_random_graphs(tmp_path_factory, seed):
     save(g, Config(), path)
     g2, _ = load(path)
     np.testing.assert_array_equal(g.edges, g2.edges)
+
+
+# ------------------------------------------------------------ edge storage
+
+def test_dense_to_edge_list_and_back_is_bit_exact():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        edges = rng.dirichlet(np.ones(m + n), size=n)
+        edges[rng.random(edges.shape) < 0.5] = 0.0
+        g = RepGraph(n=n, m=m, edges=edges)
+        assert np.all(g.weights != 0)
+        assert list(zip(g.rows, g.cols)) == sorted(zip(g.rows, g.cols))
+        back = RepGraph.from_coo(n, m, g.rows, g.cols, g.weights).edges
+        assert back.tobytes() == edges.tobytes() == g.edges.tobytes()
+
+
+def test_zero_weight_edges_are_dropped(tmp_path):
+    path = tmp_path / "g.trep"
+    path.write_text(MINIMAL + "edge 1 3 0\nedge 2 4 0.0\n")
+    graph, cfg = load(path)
+    assert graph.weights.size == 4 and np.all(graph.weights != 0)
+    save(graph, cfg, tmp_path / "with_zeros.trep")
+    path.write_text(MINIMAL)
+    save(*load(path), tmp_path / "without.trep")
+    assert (tmp_path / "with_zeros.trep").read_bytes() == (tmp_path / "without.trep").read_bytes()
+
+
+def test_graph_is_read_only():
+    g = bipartite_graph()
+    with pytest.raises(ValueError, match="read-only"):
+        g.edges[0, 1] = 0.6
+    with pytest.raises(ValueError, match="read-only"):
+        g.weights[0] = 0.6
+
+
+# ------------------------------------------------------ parser equivalence
+
+BAD_INDICES = ("-1", "x", "1.0", "+1", "1_0", "9" * 30, "")
+BAD_WEIGHTS = ("abc", "nan", "inf", "-0", "0", "1e400", "0x1p-1", "1_0")
+CORRUPTIONS = (
+    "comment", "comment_line", "blank", "early_edge", "drop_field", "extra_field", "join",
+    "whitespace", "keyword", "duplicate", "repeat", "directive", "source", "target",
+    "source_range", "target_range", "weight", "negative_weight",
+)
+
+
+def _token_edits(kind, n, m):
+    """The field a corruption replaces in an edge line, and its choices."""
+    return {
+        "source": (1, BAD_INDICES),
+        "target": (2, BAD_INDICES),
+        "source_range": (1, ("0", str(n + 1))),
+        "target_range": (2, ("0", str(m + n + 1))),
+        "weight": (3, BAD_WEIGHTS),
+        "negative_weight": (3, ("-0.5", "-inf", "-1e-300")),
+    }[kind]
+
+
+@st.composite
+def scenario_files(draw):
+    """Scenario text, valid or corrupted in the ways load must report."""
+    n, m = draw(st.sampled_from([2, 3, 4, 5, 1])), draw(st.integers(1, 4))  # n = 1 is invalid
+    lines = ["trep v1", f"users {n}", f"servers {m}", f"alpha {draw(st.sampled_from(['0.15', '0.5']))}"]
+    if draw(st.booleans()):
+        lines.append("trust " + " ".join(["0.75"] + ["0.25"] * (m - 1)))
+    fmt = draw(st.sampled_from(["%r", "%r", "%.12g", "%.6g"]))
+    edges = []
+    for i in range(1, n + 1):
+        size = draw(st.integers(1, m + n)) if draw(st.sampled_from([True] * 9 + [False])) else 0
+        targets = draw(st.permutations(range(1, m + n + 1)))[:size]
+        raw = [draw(st.floats(0.01, 1.0)) for _ in targets]
+        # size 0 leaves a dangling user; row sums are off by nothing, by less
+        # than the 1e-9 that load renormalizes, or by more
+        drift = draw(st.sampled_from([0.0] * 4 + [2e-13, 5e-12, 1e-10, 5e-10, 2e-9, 1e-6]))
+        edges += [[i, j, fmt % (w / sum(raw) * (1.0 + drift))] for j, w in zip(targets, raw)]
+    lines += [f"edge {i} {j} {w}" for i, j, w in draw(st.permutations(edges))]
+    # mostly one corruption, so that the fast path sees each kind on its own
+    for _ in range(draw(st.sampled_from([1, 1, 0, 2]))):
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        at = draw(st.integers(0, len(lines)))
+        edge_at = [k for k, line in enumerate(lines) if line.startswith("edge")]
+        e = draw(st.sampled_from(edge_at)) if edge_at else None
+        if kind == "comment_line":
+            lines.insert(at, "# comment")
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "repeat":
+            lines.insert(at, lines[draw(st.integers(1, 4))])
+        elif kind == "directive":
+            lines.insert(at, draw(st.sampled_from(["users", "servers 2 3", "nodes 3"])))
+        elif e is None:
+            continue
+        elif kind == "comment":
+            lines[e] += draw(st.sampled_from(["  # note", "# edge 1 1 1"]))
+        elif kind == "early_edge":
+            lines.insert(draw(st.integers(0, 3)), lines.pop(e))
+        elif kind == "drop_field":
+            lines[e] = lines[e].rsplit(" ", 1)[0]
+        elif kind == "extra_field":
+            lines[e] += " 1"
+        elif kind == "join":
+            lines[e] += " " + lines[draw(st.sampled_from(edge_at))]
+        elif kind == "keyword":
+            lines[e] = draw(st.sampled_from(["edges", "edgeX", "Edge", "edge:"])) + lines[e][4:]
+        elif kind == "whitespace":
+            lines[e] = draw(st.sampled_from(["  ", "\t", " \t "])).join(lines[e].split(" ")) + " "
+        elif kind == "duplicate":
+            lines.insert(at, lines[e].rsplit(" ", 1)[0] + draw(st.sampled_from([" 0.5", " 0"])))
+        else:
+            field, choices = _token_edits(kind, n, m)
+            tokens = lines[e].split(" ")
+            if field < len(tokens):
+                tokens[field] = draw(st.sampled_from(choices))
+                lines[e] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:  # ParseError included
+        return exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(scenario_files())
+def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
+    # load converts edge lines in bulk and falls back to the line loop on any
+    # failure; either way it must agree with the dense line-by-line oracle:
+    # the same graph (weights bit-equal; a -0.0 weight reads +0.0, as zero
+    # weights are dropped), or the same error type, message and line number.
+    path = tmp_path_factory.getbasetemp() / "property.trep"
+    path.write_text(text, encoding="utf-8")
+    expected, got = _outcome(load_oracle, path), _outcome(load, path)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        assert getattr(got, "lineno", None) == getattr(expected, "lineno", None)
+        return
+    assert not isinstance(got, Exception), got
+    n, m, alpha, trust, edges = expected
+    graph, cfg = got
+    assert (graph.n, graph.m, cfg.alpha) == (n, m, alpha)
+    assert (graph.trust is None) == (trust is None)
+    if trust is not None:
+        np.testing.assert_array_equal(graph.trust, trust)
+    np.testing.assert_array_equal(graph.edges, edges)
+    # every file the oracle accepts takes the bulk path, not the fallback
+    assert _parse_bulk(text) is not None
 
 
 # -------------------------------------------------------------------- config
