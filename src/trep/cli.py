@@ -87,7 +87,7 @@ def cmd_nash(args) -> int:
     trust = _require_trust(graph, "nash")
     n = args.n if args.n is not None else graph.n
     if args.k is not None:
-        if not 1 <= args.k <= n - 1:  # before the first draw needs k
+        if not 1 <= args.k <= n - 1:  # before rng.dirichlet sees k
             raise ValueError(f"k must lie in 1..{n - 1}, got {args.k}")
         rows = []
         reference = None
