@@ -20,7 +20,6 @@ from .decoder import (
     DecodeResult,
     count_inversions,
     decode,
-    decode_result_csv,
     f1,
     f2_check,
     hoeffding_check,
@@ -55,7 +54,7 @@ from .pagerank import (
     stationary,
     tour_counts,
 )
-from .repgraph import Config, ParseError, RepGraph, from_strategies, load, save, validate
+from .repgraph import Config, ParseError, RepGraph, load, save, validate
 from .rng import substream
 
 __all__ = [
@@ -80,12 +79,10 @@ __all__ = [
     "contribution_matrix",
     "count_inversions",
     "decode",
-    "decode_result_csv",
     "distribute_rewards",
     "expected_utilities",
     "f1",
     "f2_check",
-    "from_strategies",
     "hierarchy_best_response_gains",
     "hoeffding_check",
     "honest_majority_check",

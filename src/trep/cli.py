@@ -16,7 +16,7 @@ from .bootstrap import (
     select_committee,
     trace_event_log,
 )
-from .decoder import decode, decode_graph, decode_result_csv, f2_check, noisy_belief_two_point
+from .decoder import DecodeResult, decode, decode_graph, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
     GameScenario,
@@ -69,6 +69,25 @@ def _require_trust(graph, command: str) -> np.ndarray:
     if graph.trust is None:
         raise ValueError(f"scenario has no trust line; {command} needs server trust levels")
     return graph.trust
+
+
+def decode_result_csv(result: DecodeResult, trust: np.ndarray | None = None) -> str:
+    """Render a decode result as CSV with a commented metrics footer."""
+    lines = []
+    if trust is not None:
+        trust = np.asarray(trust, dtype=float)
+        lines.append("server_index,rho,trust")
+        for j, (score, level) in enumerate(zip(result.rho, trust), start=1):
+            lines.append(f"{j},{_fmt(score)},{_fmt(level)}")
+    else:
+        lines.append("server_index,rho")
+        for j, score in enumerate(result.rho, start=1):
+            lines.append(f"{j},{_fmt(score)}")
+    inversions = "n/a" if result.inversions is None else str(result.inversions)
+    linf = "n/a" if result.linf_error is None else _fmt(result.linf_error)
+    lines.append(f"# inversions,{inversions}")
+    lines.append(f"# linf_error,{linf}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_decode(args) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 from .equilibrium import GameScenario, truth_telling_profile
 from .game import f1
 from .pagerank import reputation_scores
-from .repgraph import Config, RepGraph, from_strategies
+from .repgraph import Config, RepGraph, _profile_graph
 from .rng import substream
 
 
@@ -37,15 +37,7 @@ def decode(
     When the true trust vector is supplied the result also carries ranking
     inversions and the sup-norm error against normalized trust.
     """
-    cfg = config or Config()
-    profile = np.asarray(profile, dtype=float)
-    if profile.ndim != 2:
-        raise ValueError("profile must be a matrix")
-    n = profile.shape[0]
-    m = profile.shape[1] - n
-    if m < 1:
-        raise ValueError(f"profile shape {profile.shape} leaves no server columns")
-    return decode_graph(from_strategies(profile, m, n), cfg, trust)
+    return decode_graph(_profile_graph(profile), config, trust)
 
 
 def decode_graph(
@@ -167,8 +159,6 @@ def f2_check(
         "bound": bound,
         "q": q,
         "threshold": threshold,
-        "mean_error": float(errors.mean()),
-        "trials": trials,
     }
 
 
@@ -199,27 +189,4 @@ def hoeffding_check(
         belief = generator(trust, epsilon, rng)
         if abs(belief.sum() - total) >= delta:
             hits += 1
-    return {"empirical_prob": hits / trials, "q": q, "trials": trials}
-
-
-def _csv_float(value: float) -> str:
-    return "%.17g" % float(value)
-
-
-def decode_result_csv(result: DecodeResult, trust: np.ndarray | None = None) -> str:
-    """Render a decode result as CSV with a commented metrics footer."""
-    lines = []
-    if trust is not None:
-        trust = np.asarray(trust, dtype=float)
-        lines.append("server_index,rho,trust")
-        for j, (score, level) in enumerate(zip(result.rho, trust), start=1):
-            lines.append(f"{j},{_csv_float(score)},{_csv_float(level)}")
-    else:
-        lines.append("server_index,rho")
-        for j, score in enumerate(result.rho, start=1):
-            lines.append(f"{j},{_csv_float(score)}")
-    inversions = "n/a" if result.inversions is None else str(result.inversions)
-    linf = "n/a" if result.linf_error is None else _csv_float(result.linf_error)
-    lines.append(f"# inversions,{inversions}")
-    lines.append(f"# linf_error,{linf}")
-    return "\n".join(lines) + "\n"
+    return {"empirical_prob": hits / trials, "q": q}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .game import _check_trust, bipartite_utility, expected_utilities, f1
 from .pagerank import tour_counts
-from .repgraph import Config, from_strategies
+from .repgraph import Config, _profile_graph
 from .rng import substream
 
 SCENARIO_KINDS = ("perfect", "noisy", "hierarchy")
@@ -258,7 +258,7 @@ def measure_epsilon_prime(scenario: GameScenario) -> EquilibriumReport:
 
 
 def _server_only_reduction(
-    profile: np.ndarray, m: int, k: int, cfg: Config
+    profile: np.ndarray, k: int, cfg: Config
 ) -> tuple[np.ndarray, np.ndarray]:
     """Visit totals and effective opponent masses of the established players.
 
@@ -269,12 +269,13 @@ def _server_only_reduction(
     utility is exactly bipartite_utility(x, b_p, R) / v_p with opponent mass
     b_p = sum_{t != p} v_t E_s[t, :] / v_p.
     """
-    n = profile.shape[0]
-    visits = tour_counts(from_strategies(profile, m, n), cfg)[:, m:].sum(axis=0)
+    graph = _profile_graph(profile)
+    n, m = graph.n, graph.m
+    visits = tour_counts(graph, cfg)[:, m:].sum(axis=0)
     masses = np.empty((k, m))
     for player in range(k):
         others = np.arange(n) != player
-        masses[player] = visits[others] @ profile[others, :m] / visits[player]
+        masses[player] = visits[others] @ graph.edges[others, :m] / visits[player]
     return visits[:k], masses
 
 
@@ -283,10 +284,11 @@ def hierarchy_best_response_gains(
 ) -> np.ndarray:
     """Best-response gains of the established players in a hierarchy profile.
 
-    The best server-only deviation is exact: it solves the reduced problem of
-    _server_only_reduction with best_response_to_mass.  Deviations that also
-    endorse users are covered by a single probe row, evaluated with the real
-    expected utilities, so that part of each gain is a lower bound.  At the
+    Both sides of a server-only gain come from one _server_only_reduction:
+    the base utility of the player's row N(R), and the exact best response,
+    which best_response_to_mass solves.  Deviations that also endorse users
+    are covered by a single probe row, evaluated with the real expected
+    utilities, so that part of each gain is a lower bound.  At the
     proportional-to-trust profile all gains should vanish regardless of how
     the fresh players split their endorsements.
     """
@@ -297,12 +299,13 @@ def hierarchy_best_response_gains(
     ratings = scenario.trust
     m, k = ratings.size, scenario.k
     nr = f1(ratings)
-    base = expected_utilities(profile, ratings, cfg)
-    visits, masses = _server_only_reduction(profile, m, k, cfg)
+    visits, masses = _server_only_reduction(profile, k, cfg)
     gains = np.zeros(k)
     for player in range(k):
-        response = best_response_to_mass(ratings, masses[player])
-        best_utility = bipartite_utility(response, masses[player], ratings) / visits[player]
+        mass, visit = masses[player], visits[player]
+        base = bipartite_utility(nr, mass, ratings) / visit
+        response = best_response_to_mass(ratings, mass)
+        best_utility = bipartite_utility(response, mass, ratings) / visit
         # deviation that also endorses the other established players
         trial = profile.copy()
         trial[player] = 0.0
@@ -310,5 +313,5 @@ def hierarchy_best_response_gains(
         peers = [m + t for t in range(k) if t != player] or [m + t for t in range(k)]
         trial[player, peers] = 0.2 / len(peers)
         best_utility = max(best_utility, expected_utilities(trial, ratings, cfg)[player])
-        gains[player] = max(0.0, best_utility - base[player])
+        gains[player] = max(0.0, best_utility - base)
     return gains

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pagerank import contribution_matrix
-from .repgraph import Config, from_strategies
+from .repgraph import Config, _profile_graph
 
 
 def _check_trust(trust: np.ndarray) -> np.ndarray:
@@ -48,26 +48,20 @@ def sample_nature(trust: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def realized_utilities(profile: np.ndarray, outcome: np.ndarray, config: Config) -> np.ndarray:
     """Utilities after nature's move: contribution shares of successful pots."""
-    profile = np.asarray(profile, dtype=float)
-    outcome = np.asarray(outcome, dtype=float)
-    n = profile.shape[0]
-    m = profile.shape[1] - n
-    if outcome.shape != (m,):
-        raise ValueError(f"outcome has shape {outcome.shape}, expected ({m},)")
-    shares = contribution_matrix(from_strategies(profile, m, n), config)
-    return shares @ outcome
+    return _pot_shares(profile, np.asarray(outcome, dtype=float), "outcome", config)
 
 
 def expected_utilities(profile: np.ndarray, trust: np.ndarray, config: Config) -> np.ndarray:
     """Expected utilities over nature: contribution shares weighted by trust."""
-    profile = np.asarray(profile, dtype=float)
-    trust = _check_trust(trust)
-    n = profile.shape[0]
-    m = profile.shape[1] - n
-    if trust.shape != (m,):
-        raise ValueError(f"trust has shape {trust.shape}, expected ({m},)")
-    shares = contribution_matrix(from_strategies(profile, m, n), config)
-    return shares @ trust
+    return _pot_shares(profile, _check_trust(trust), "trust", config)
+
+
+def _pot_shares(profile: np.ndarray, pots: np.ndarray, name: str, config: Config) -> np.ndarray:
+    """Each user's contribution shares of the per-server pots, summed."""
+    graph = _profile_graph(profile)
+    if pots.shape != (graph.m,):
+        raise ValueError(f"{name} has shape {pots.shape}, expected ({graph.m},)")
+    return contribution_matrix(graph, config) @ pots
 
 
 def bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndarray) -> float:

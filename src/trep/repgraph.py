@@ -125,8 +125,8 @@ def _slack(rows: np.ndarray) -> float:
 def validate(graph: RepGraph) -> list[str]:
     """Return all invariant violations of the graph (empty list when valid).
 
-    O(nnz): rows are screened with bincount sums; only flagged rows are
-    built densely, for their messages.
+    O(n + nnz): rows are screened with bincount sums; flagged rows with
+    edges are built densely, for their messages.
     """
     violations: list[str] = []
     n, m = graph.n, graph.m
@@ -138,14 +138,16 @@ def validate(graph: RepGraph) -> list[str]:
     accept = np.abs(np.bincount(rows, weights, minlength=n) - 1.0) <= ROW_SUM_TOL - _slack(rows)
     if np.any(weights < 0):
         accept &= np.bincount(rows, weights < 0, minlength=n) == 0
+    edgeless = np.bincount(rows, minlength=n) == 0
     for i in np.flatnonzero(~accept):  # NaN totals are not accepted either
+        if edgeless[i]:  # stored weights are nonzero, so only an edgeless row is all zeros
+            violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
+            continue
         row = _dense_row(m + n, rows, graph.cols, weights, i)[0]
         total = row.sum()
         if np.any(row < 0):
             j = int(np.argmin(row))
             violations.append(f"row {i + 1} column {j + 1}: negative weight {row[j]:.12g}")
-        elif total == 0.0:
-            violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
         elif not abs(total - 1.0) <= ROW_SUM_TOL:
             violations.append(f"row {i + 1} sums to {total:.12g}, expected 1")
     if graph.trust is not None:
@@ -171,12 +173,20 @@ def _require_valid(graph: RepGraph) -> None:
     graph._valid = True
 
 
-def from_strategies(profile: np.ndarray, m: int, n: int) -> RepGraph:
-    """Build the endorsement graph induced by a strategy profile.
+def _profile_graph(profile: np.ndarray) -> RepGraph:
+    """The endorsement graph induced by a strategy profile.
 
     Row i of the profile is user i's mixed strategy over the m + n actions;
-    action j < m endorses server j, action m + t endorses user t.
+    action j < m endorses server j, action m + t endorses user t.  So the
+    shape fixes the graph: n is the row count, m the column count less n.
     """
+    profile = np.asarray(profile, dtype=float)
+    if profile.ndim != 2:
+        raise ValueError("profile must be a matrix")
+    n = profile.shape[0]
+    m = profile.shape[1] - n
+    if m < 1:
+        raise ValueError(f"profile shape {profile.shape} leaves no server columns")
     return RepGraph(n=n, m=m, edges=profile)
 
 

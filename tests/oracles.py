@@ -20,7 +20,7 @@ import numpy as np
 
 from trep.equilibrium import best_response_to_mass
 from trep.pagerank import StationaryDistribution, _check_stochastic
-from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, from_strategies, validate
+from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, validate
 
 ORACLE_MAX_STATES = 200
 
@@ -185,7 +185,7 @@ def best_response_numeric(profile, trust, player):
     trust = np.asarray(trust, dtype=float)
     m = trust.size
     n = profile.shape[0]
-    violations = validate(from_strategies(profile, m, n))
+    violations = validate(RepGraph(n=n, m=m, edges=profile))
     if violations:
         raise ValueError("; ".join(violations))
     if not 0 <= player < n:

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from trep.decoder import (
     count_inversions,
     decode,
-    decode_result_csv,
     f1,
     f2_check,
     hoeffding_check,
     noisy_belief_gaussian,
     noisy_belief_two_point,
 )
+from trep.cli import decode_result_csv
 from trep.equilibrium import GameScenario, truth_telling_profile
 from trep.repgraph import Config
 from trep.rng import substream

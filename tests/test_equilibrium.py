@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trep import equilibrium, pagerank
 from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
@@ -388,6 +389,23 @@ def test_hierarchy_single_established_player():
     assert np.all(gains <= 1e-8)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hierarchy_gains_solve_tour_counts_once_per_probe_row_plus_one(k, monkeypatch):
+    solves = []
+    original = pagerank.tour_counts
+
+    def counting(graph, config):
+        solves.append(graph.n)
+        return original(graph, config)
+
+    monkeypatch.setattr(pagerank, "tour_counts", counting)
+    monkeypatch.setattr(equilibrium, "tour_counts", counting)
+    sc = GameScenario(kind="hierarchy", trust=np.array([0.6, 0.3, 0.1]), n=5, k=k)
+    gains = hierarchy_best_response_gains(sc, CFG)
+    assert np.all(gains <= 1e-8)
+    assert len(solves) == k + 1
+
+
 WEIGHT = st.floats(0.0, 1.0, allow_subnormal=False)
 
 
@@ -423,7 +441,7 @@ def test_server_only_reduction_matches_expected_utilities(case):
     profile = truth_telling_profile(scenario)
     trust, k = scenario.trust, scenario.k
     m = trust.size
-    visits, masses = _server_only_reduction(profile, m, k, cfg)
+    visits, masses = _server_only_reduction(profile, k, cfg)
     for player in range(k):
 
         def utility(row):
@@ -431,7 +449,7 @@ def test_server_only_reduction_matches_expected_utilities(case):
             trial[player, :m] = row
             return expected_utilities(trial, trust, cfg)[player]
 
-        for row in rows:
+        for row in np.vstack([f1(trust), rows]):
             reduced = bipartite_utility(row, masses[player], trust) / visits[player]
             assert abs(reduced - utility(row)) <= 1e-12
         best = utility(best_response_to_mass(trust, masses[player]))

@@ -7,7 +7,7 @@ from trep.game import (
     realized_utilities,
     sample_nature,
 )
-from trep.repgraph import Config, from_strategies, validate
+from trep.repgraph import Config, RepGraph, validate
 from trep.rng import substream
 
 from oracles import bipartite_expected_utilities
@@ -185,11 +185,11 @@ def test_moving_user_mass_to_single_weak_server_can_hurt():
 def test_validate_profile():
     trust = np.array([0.5, 0.5])
     good = bipartite_profile([[0.5, 0.5], [0.5, 0.5]])
-    assert validate(from_strategies(good, m=2, n=2)) == []
+    assert validate(RepGraph(n=2, m=2, edges=good)) == []
     with pytest.raises(ValueError):
         expected_utilities(good * 1.1, trust, CFG)
     with pytest.raises(ValueError):
-        from_strategies(good, m=3, n=2)
+        RepGraph(n=2, m=3, edges=good)
     bad = good.copy()
     bad[0, 0] = -0.5
     bad[0, 1] = 1.5
@@ -204,3 +204,14 @@ def test_validate_profile_rejects_nan():
     with pytest.raises(ValueError):
         realized_utilities(np.array([[0.5, 0.5, 0, 0], [1, np.nan, 0, 0]]), np.array([1, 1]), CFG)
 
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [(np.array([0.5, 0.5, 0.0, 0.0]), "must be a matrix"), (np.eye(2), "no server columns")],
+    ids=["1-D", "no server column"],
+)
+def test_utilities_reject_a_profile_without_a_graph_shape(profile, message):
+    with pytest.raises(ValueError, match=message):
+        expected_utilities(profile, np.array([1.0]), CFG)
+    with pytest.raises(ValueError, match=message):
+        realized_utilities(profile, np.array([1.0]), CFG)

@@ -14,7 +14,7 @@ from trep.pagerank import (
     stationary,
     tour_counts,
 )
-from trep.repgraph import Config, RepGraph, from_strategies
+from trep.repgraph import Config, RepGraph
 
 from oracles import designated_user_mass, single_source_tour_counts, stationary_oracle
 
@@ -90,7 +90,7 @@ def test_stationary_two_users_one_server():
 def test_stationary_symmetric_users_equal_mass():
     profile = np.zeros((3, 5))
     profile[:, :2] = [0.7, 0.3]
-    graph = from_strategies(profile, m=2, n=3)
+    graph = RepGraph(n=3, m=2, edges=profile)
     dist = stationary(build_designated_chain(graph, CFG), CFG)
     users = dist.pi[2:]
     assert np.ptp(users) <= 1e-12
@@ -99,7 +99,7 @@ def test_stationary_symmetric_users_equal_mass():
 def test_transient_server_mass_vanishes():
     profile = np.zeros((2, 5))
     profile[:, 0] = 1.0  # nobody endorses servers 2 and 3
-    graph = from_strategies(profile, m=3, n=2)
+    graph = RepGraph(n=2, m=3, edges=profile)
     dist = stationary(build_designated_chain(graph, CFG), CFG)
     assert dist.pi[1] <= 1e-12 and dist.pi[2] <= 1e-12
 
@@ -157,7 +157,7 @@ def test_reputation_equals_normalized_trust_at_truth_telling():
     nr = r / r.sum()
     profile = np.zeros((4, 7))
     profile[:, :3] = nr
-    graph = from_strategies(profile, m=3, n=4)
+    graph = RepGraph(n=4, m=3, edges=profile)
     np.testing.assert_allclose(reputation_scores(graph, CFG), nr, atol=1e-10)
 
 
@@ -179,7 +179,7 @@ def test_reputation_hierarchy_matches_normalized_trust():
     for i in range(2, 5):
         w = rng.dirichlet(np.ones(2))
         profile[i, 2:4] = w
-    graph = from_strategies(profile, m=2, n=5)
+    graph = RepGraph(n=5, m=2, edges=profile)
     rho = reputation_scores(graph, CFG)
     np.testing.assert_allclose(rho, nr, atol=1e-10)
     oracle_pi = stationary_oracle(build_designated_chain(graph, CFG)).pi
@@ -190,7 +190,7 @@ def test_reputation_hierarchy_matches_normalized_trust():
 def test_reputation_alpha_invariant_for_symmetric_strategies():
     profile = np.zeros((3, 5))
     profile[:, :2] = [0.6, 0.4]
-    graph = from_strategies(profile, m=2, n=3)
+    graph = RepGraph(n=3, m=2, edges=profile)
     scores = [reputation_scores(graph, Config(alpha=a)) for a in (0.05, 0.15, 0.5)]
     for rho in scores[1:]:
         np.testing.assert_allclose(rho, scores[0], atol=1e-12)
@@ -251,7 +251,7 @@ def test_contribution_bipartite_identity():
     s = np.array([[0.2, 0.8], [0.5, 0.5]])
     profile = np.zeros((2, 4))
     profile[:, :2] = s
-    graph = from_strategies(profile, m=2, n=2)
+    graph = RepGraph(n=2, m=2, edges=profile)
     omega = contribution_matrix(graph, CFG)
     expected = s / s.sum(axis=0, keepdims=True)
     np.testing.assert_allclose(omega, expected, atol=1e-10)
@@ -275,7 +275,7 @@ def test_contribution_hierarchy_frozen_shares():
     profile = np.zeros((3, 5))
     profile[:2, :2] = nr
     profile[2, 2:4] = [0.3, 0.7]
-    graph = from_strategies(profile, m=2, n=3)
+    graph = RepGraph(n=3, m=2, edges=profile)
     omega = contribution_matrix(graph, Config(alpha=alpha))
     perfect_share = 1.0 / (3.0 - alpha)
     fresh_share = (1.0 - alpha) / (3.0 - alpha)

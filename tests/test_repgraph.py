@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trep import repgraph
 from trep.repgraph import (
     Config,
     ParseError,
     RepGraph,
     _parse_bulk,
-    from_strategies,
     load,
     save,
     validate,
@@ -100,13 +100,27 @@ def test_validate_checks_trust_range():
     assert any("trust" in v for v in validate(zero))
 
 
-# ----------------------------------------------------------- from_strategies
+def test_validate_builds_no_dense_row_for_an_edgeless_user(monkeypatch):
+    dense_rows = []
+    original = repgraph._dense_row
+    monkeypatch.setattr(
+        repgraph, "_dense_row", lambda *args: dense_rows.append(args[-1]) or original(*args)
+    )
+    n = 50_000
+    graph = RepGraph.from_coo(n, 1, [0], [0], [1.0])
+    assert validate(graph) == [
+        f"row {i} is all zeros: every user must endorse someone" for i in range(2, n + 1)
+    ]
+    assert dense_rows == []
+
+
+# ---------------------------------------------------- strategy profiles as graphs
 
 def test_from_strategies_copies_rows():
     profile = np.zeros((2, 4))
     profile[:, 0] = 2 / 3
     profile[:, 1] = 1 / 3
-    g = from_strategies(profile, m=2, n=2)
+    g = RepGraph(n=2, m=2, edges=profile)
     assert g.n == 2 and g.m == 2
     np.testing.assert_array_equal(g.edges, profile)
 
@@ -115,22 +129,22 @@ def test_from_strategies_user_action_maps_to_user_edge():
     profile = np.zeros((2, 4))
     profile[0, 2] = 1.0  # action m+1 endorses user 1
     profile[1, 0] = 1.0
-    g = from_strategies(profile, m=2, n=2)
+    g = RepGraph(n=2, m=2, edges=profile)
     assert g.edges[0, 2] == 1.0
 
 
 def test_from_strategies_pure_strategy():
     profile = np.zeros((2, 4))
     profile[:, 0] = 1.0
-    g = from_strategies(profile, m=2, n=2)
+    g = RepGraph(n=2, m=2, edges=profile)
     assert g.edges[0, 0] == 1.0 and g.edges[0, 1:].sum() == 0.0
 
 
 def test_from_strategies_dimension_mismatch():
     with pytest.raises(ValueError):
-        from_strategies(np.ones((2, 4)) / 4, m=3, n=2)
+        RepGraph(n=2, m=3, edges=np.ones((2, 4)) / 4)
     with pytest.raises(ValueError):
-        from_strategies(np.ones((3, 4)) / 4, m=2, n=2)
+        RepGraph(n=2, m=2, edges=np.ones((3, 4)) / 4)
 
 
 # ------------------------------------------------------------------- file IO
