@@ -29,10 +29,10 @@ from .decoder import (
 from .equilibrium import (
     DegenerateBelief,
     EquilibriumReport,
-    GameScenario,
     best_response_closed_form,
     best_response_to_mass,
     hierarchy_best_response_gains,
+    hierarchy_profile,
     measure_epsilon_prime,
     truth_telling_profile,
     verify_unique_nash,
@@ -65,7 +65,6 @@ __all__ = [
     "DecodeResult",
     "DegenerateBelief",
     "EquilibriumReport",
-    "GameScenario",
     "NonConvergence",
     "ParseError",
     "RepGraph",
@@ -84,6 +83,7 @@ __all__ = [
     "f1",
     "f2_check",
     "hierarchy_best_response_gains",
+    "hierarchy_profile",
     "hoeffding_check",
     "honest_majority_check",
     "load",

@@ -19,24 +19,19 @@ from .bootstrap import (
 from .decoder import DecodeResult, decode, decode_graph, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
-    GameScenario,
     hierarchy_best_response_gains,
+    hierarchy_profile,
     measure_epsilon_prime,
-    truth_telling_profile,
     verify_unique_nash,
 )
 from .pagerank import AllServersUntrusted, NonConvergence
-from .repgraph import Config, ParseError, load
+from .repgraph import Config, ParseError, _fmt, load
 from .rng import substream
 
 DEFAULT_EPSILONS = [0.001, 0.005, 0.01, 0.02]
 # Trials are small NumPy calls that hold the interpreter lock, so a thread
 # pool measured slower than a plain loop; the flag stays for old scripts.
 PARALLEL_HELP = "accepted for compatibility and ignored; trials always run serially"
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
 
 
 def _trial_count(text: str) -> int:
@@ -115,11 +110,8 @@ def cmd_nash(args) -> int:
         for draw in range(args.trials):
             rng = substream(args.seed, "fresh", draw)
             weights = rng.dirichlet(np.ones(args.k), size=n - args.k)
-            scenario = GameScenario(
-                kind="hierarchy", trust=trust, n=n, k=args.k, fresh_weights=weights
-            )
-            gains = hierarchy_best_response_gains(scenario, cfg)
-            rho = decode(truth_telling_profile(scenario), cfg).rho
+            gains = hierarchy_best_response_gains(trust, weights, cfg)
+            rho = decode(hierarchy_profile(trust, weights), cfg).rho
             if reference is None:
                 reference = rho
             drift = float(np.max(np.abs(rho - reference)))
@@ -178,8 +170,7 @@ def cmd_noisy(args) -> int:
         for trial in range(args.trials):
             rng = substream(args.seed, "noisy", index, trial)
             belief = noisy_belief_two_point(trust, eps, rng)
-            scenario = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=eps)
-            report = measure_epsilon_prime(scenario)
+            report = measure_epsilon_prime(trust, belief, n, eps)
             worst = max(worst, report.epsilon_prime)
             rows.append(f"{_fmt(eps)},{_fmt(report.epsilon_prime)},{_fmt(report.bound)}")
     _write_text(

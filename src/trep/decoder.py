@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import GameScenario, truth_telling_profile
-from .game import f1
+from .equilibrium import truth_telling_profile
+from .game import _check_trust, f1
 from .pagerank import reputation_scores
 from .repgraph import Config, RepGraph, _profile_graph
 from .rng import substream
@@ -133,7 +133,7 @@ def f2_check(
     q = exp(-delta^2 / (4 epsilon^2 m)).
     """
     cfg = config or Config()
-    trust = np.asarray(trust, dtype=float)
+    trust = _check_trust(trust)
     m = trust.size
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -142,6 +142,8 @@ def f2_check(
     total = trust.sum()
     if not 0 < delta < total:
         raise ValueError(f"delta must lie strictly between 0 and ||trust||_1 = {total}")
+    if n < 2:
+        raise ValueError(f"need at least 2 players, got {n}")
     nr = f1(trust)
     threshold = (epsilon + delta * nr.max()) / (total - delta)
     q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
@@ -150,8 +152,7 @@ def f2_check(
     errors = np.empty(trials)
     for t in range(trials):
         belief = generator(trust, epsilon, rng)
-        scenario = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=epsilon)
-        rho = decode(truth_telling_profile(scenario), cfg).rho
+        rho = decode(truth_telling_profile(belief, n), cfg).rho
         errors[t] = np.max(np.abs(rho - nr))
     successes = int(np.count_nonzero(errors <= threshold))
     return {

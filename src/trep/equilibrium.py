@@ -17,8 +17,6 @@ from .pagerank import tour_counts
 from .repgraph import Config, _profile_graph
 from .rng import substream
 
-SCENARIO_KINDS = ("perfect", "noisy", "hierarchy")
-
 # Free servers (positive trust, no opponent mass) are captured by an
 # arbitrarily small stake; the supremum is not attained, so we fix one.
 FREE_SERVER_STAKE = 1e-12
@@ -26,58 +24,6 @@ FREE_SERVER_STAKE = 1e-12
 
 class DegenerateBelief(ValueError):
     """Trust and belief have disjoint support; the best response is undefined."""
-
-
-@dataclass
-class GameScenario:
-    """A family of profiles to analyze.
-
-    kind "perfect": every player knows the trust vector.
-    kind "noisy": every player plays a common perturbed belief.
-    kind "hierarchy": k established players know the trust vector; the other
-    n - k fresh players endorse only established players (uniformly unless
-    fresh_weights rows are given).
-    """
-
-    kind: str
-    trust: np.ndarray
-    n: int
-    belief: np.ndarray | None = None
-    k: int | None = None
-    fresh_weights: np.ndarray | None = None
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        self.trust = _check_trust(self.trust)
-        if self.n < 2:
-            raise ValueError(f"need at least 2 players, got {self.n}")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.kind == "noisy":
-            if self.belief is None:
-                raise ValueError("noisy scenarios need a belief vector")
-            self.belief = np.asarray(self.belief, dtype=float)
-            if self.belief.shape != self.trust.shape:
-                raise ValueError("belief and trust must have the same shape")
-            if not (np.all(self.belief >= 0) and np.any(self.belief > 0)):
-                raise ValueError("belief must be nonnegative with positive mass")
-        if self.kind == "hierarchy":
-            if self.k is None:
-                raise ValueError("hierarchy scenarios need k, the established player count")
-            if not 1 <= self.k <= self.n - 1:
-                raise ValueError(f"k must lie in 1..{self.n - 1}, got {self.k}")
-            if self.fresh_weights is not None:
-                w = np.asarray(self.fresh_weights, dtype=float)
-                if w.shape != (self.n - self.k, self.k):
-                    raise ValueError(
-                        f"fresh_weights have shape {w.shape}, expected "
-                        f"({self.n - self.k}, {self.k})"
-                    )
-                if not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)):
-                    raise ValueError("fresh_weights rows must be distributions")
-                self.fresh_weights = w
 
 
 @dataclass
@@ -95,21 +41,34 @@ class EquilibriumReport:
     bound: float | None = None
 
 
-def truth_telling_profile(scenario: GameScenario) -> np.ndarray:
-    """The profile in which every informed player endorses by its belief."""
-    n, m = scenario.n, scenario.trust.size
+def truth_telling_profile(belief: np.ndarray, n: int) -> np.ndarray:
+    """Each of n players endorses servers by N(belief); with belief = trust
+    this is the perfect-information equilibrium."""
+    if n < 2:
+        raise ValueError(f"need at least 2 players, got {n}")
+    nr = f1(belief)
+    if nr.ndim != 1:
+        raise ValueError("belief must be a vector")
+    profile = np.zeros((n, nr.size + n))
+    profile[:, : nr.size] = nr
+    return profile
+
+
+def hierarchy_profile(trust: np.ndarray, fresh_weights: np.ndarray) -> np.ndarray:
+    """The k established players (rows 0..k-1) endorse servers by N(trust);
+    fresh player k + i endorses established ones by row i of fresh_weights,
+    whose (n - k) x k shape fixes k and n."""
+    ratings = _check_trust(trust)
+    w = np.asarray(fresh_weights, dtype=float)
+    if w.ndim != 2 or w.size == 0:
+        raise ValueError(f"fresh_weights must be a nonempty matrix, got shape {w.shape}")
+    if not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)):
+        raise ValueError("fresh_weights rows must be distributions")
+    k, m = w.shape[1], ratings.size
+    n = w.shape[0] + k
     profile = np.zeros((n, m + n))
-    if scenario.kind == "perfect":
-        profile[:, :m] = f1(scenario.trust)
-    elif scenario.kind == "noisy":
-        profile[:, :m] = f1(scenario.belief)
-    else:  # hierarchy
-        k = scenario.k
-        profile[:k, :m] = f1(scenario.trust)
-        if scenario.fresh_weights is None:
-            profile[k:, m : m + k] = 1.0 / k
-        else:
-            profile[k:, m : m + k] = scenario.fresh_weights
+    profile[:k, :m] = f1(ratings)
+    profile[k:, m : m + k] = w
     return profile
 
 
@@ -236,23 +195,32 @@ def verify_unique_nash(
     return report
 
 
-def measure_epsilon_prime(scenario: GameScenario) -> EquilibriumReport:
-    """Equilibrium defect when every player endorses a common noisy belief.
+def measure_epsilon_prime(
+    trust: np.ndarray, belief: np.ndarray, n: int, epsilon: float
+) -> EquilibriumReport:
+    """Equilibrium defect when all n players endorse the common noisy belief.
 
     Reports the best unilateral gain over the truthful-belief profile and the
     theoretical bound m^2 (n-1) / n^2 * (1+eps) / (1-eps).
     """
-    if scenario.kind != "noisy":
-        raise ValueError("epsilon' is measured on noisy scenarios")
-    n, m = scenario.n, scenario.trust.size
-    report = _common_belief_defect(scenario.trust, scenario.belief, n)
-    eps = scenario.epsilon
+    ratings = _check_trust(trust)
+    if n < 2:
+        raise ValueError(f"need at least 2 players, got {n}")
+    if not epsilon >= 0:  # negated so NaN is rejected
+        raise ValueError("epsilon must be nonnegative")
+    belief = np.asarray(belief, dtype=float)
+    if belief.shape != ratings.shape:
+        raise ValueError("belief and trust must have the same shape")
+    if not (np.all(belief >= 0) and np.any(belief > 0)):
+        raise ValueError("belief must be nonnegative with positive mass")
+    m = ratings.size
+    report = _common_belief_defect(ratings, belief, n)
     bound = m * m * (n - 1) / n**2
-    if eps > 0:
-        if eps >= 1:
+    if epsilon > 0:
+        if epsilon >= 1:
             bound = np.inf
         else:
-            bound *= (1 + eps) / (1 - eps)
+            bound *= (1 + epsilon) / (1 - epsilon)
     report.bound = float(bound)
     return report
 
@@ -280,9 +248,9 @@ def _server_only_reduction(
 
 
 def hierarchy_best_response_gains(
-    scenario: GameScenario, config: Config | None = None
+    trust: np.ndarray, fresh_weights: np.ndarray, config: Config | None = None
 ) -> np.ndarray:
-    """Best-response gains of the established players in a hierarchy profile.
+    """Best-response gains of the established players in hierarchy_profile().
 
     Both sides of a server-only gain come from one _server_only_reduction:
     the base utility of the player's row N(R), and the exact best response,
@@ -292,12 +260,10 @@ def hierarchy_best_response_gains(
     proportional-to-trust profile all gains should vanish regardless of how
     the fresh players split their endorsements.
     """
-    if scenario.kind != "hierarchy":
-        raise ValueError("hierarchy gains are measured on hierarchy scenarios")
     cfg = config or Config()
-    profile = truth_telling_profile(scenario)
-    ratings = scenario.trust
-    m, k = ratings.size, scenario.k
+    profile = hierarchy_profile(trust, fresh_weights)
+    ratings = np.asarray(trust, dtype=float)
+    m, k = ratings.size, np.shape(fresh_weights)[1]
     nr = f1(ratings)
     visits, masses = _server_only_reduction(profile, k, cfg)
     gains = np.zeros(k)

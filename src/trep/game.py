@@ -35,8 +35,8 @@ def f1(utilities: np.ndarray) -> np.ndarray:
     if np.any(utilities < 0):
         raise ValueError("cannot normalize a vector with negative entries")
     total = utilities.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize a vector without positive mass")
+    if not 0 < total < np.inf:  # negated so NaN is rejected
+        raise ValueError("cannot normalize a vector without positive, finite mass")
     return utilities / total
 
 

@@ -76,10 +76,18 @@ class RepGraph:
     def from_coo(cls, n, m, rows, cols, weights, trust=None) -> RepGraph:
         """Graph from 0-based edge arrays sorted by row then column, each
         (row, column) pair at most once; zero weights are dropped."""
-        keep = np.asarray(weights) != 0
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        weights = np.asarray(weights, dtype=float)
+        if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+            raise ValueError("rows, cols and weights must be vectors of equal length")
+        if np.any((rows < 0) | (rows >= n) | (cols < 0) | (cols >= m + n)):
+            raise ValueError(f"edge index out of range for n={n}, m={m}")
+        step = np.diff(rows)
+        if np.any((step < 0) | ((step == 0) & (np.diff(cols) <= 0))):
+            raise ValueError("edges must be sorted by row then column, each pair at most once")
+        keep = weights != 0
         graph = cls.__new__(cls)
-        rows, cols = np.asarray(rows, dtype=np.intp)[keep], np.asarray(cols, dtype=np.intp)[keep]
-        graph._fill(n, m, rows, cols, np.asarray(weights, dtype=float)[keep], trust, None)
+        graph._fill(n, m, rows[keep], cols[keep], weights[keep], trust, None)
         return graph
 
     def _fill(self, n, m, rows, cols, weights, trust, dense) -> None:
@@ -192,11 +200,9 @@ def _profile_graph(profile: np.ndarray) -> RepGraph:
 
 # ---------------------------------------------------------------- file format
 
-_FLOAT = "%.17g"
-
-
 def _fmt(value: float) -> str:
-    return _FLOAT % float(value)
+    """The number format of every file trep writes: round-trips a float."""
+    return "%.17g" % float(value)
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:

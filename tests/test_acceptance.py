@@ -18,10 +18,9 @@ from trep.decoder import (
     noisy_belief_two_point,
 )
 from trep.equilibrium import (
-    GameScenario,
     hierarchy_best_response_gains,
+    hierarchy_profile,
     measure_epsilon_prime,
-    truth_telling_profile,
     verify_unique_nash,
 )
 from trep.game import realized_utilities
@@ -159,11 +158,8 @@ def test_newcomer_strategies_cannot_move_scores_or_gains():
             gain_maxima = []
             for draw in range(50):
                 weights = rng.dirichlet(np.ones(k), size=n - k)
-                scenario = GameScenario(
-                    kind="hierarchy", trust=ratings, n=n, k=k, fresh_weights=weights
-                )
-                scores.append(decode(truth_telling_profile(scenario), CFG).rho)
-                gains = hierarchy_best_response_gains(scenario, CFG)
+                scores.append(decode(hierarchy_profile(ratings, weights), CFG).rho)
+                gains = hierarchy_best_response_gains(ratings, weights, CFG)
                 assert np.all(gains <= 1e-8)
                 gain_maxima.append(float(gains.max()))
             scores = np.asarray(scores)
@@ -185,14 +181,11 @@ def test_noisy_defect_within_theoretical_bound():
                 ratings = rng.uniform(0.2, 1.0, size=m)
                 eps = float(rng.uniform(0.0, 1.0 / (2 * n)))
                 belief = np.clip(ratings + rng.uniform(-eps, eps, size=m), 0.0, 1.0)
-                scenario = GameScenario(
-                    kind="noisy", trust=ratings, n=n, belief=belief, epsilon=eps
-                )
-                report = measure_epsilon_prime(scenario)
+                report = measure_epsilon_prime(ratings, belief, n, eps)
                 assert report.epsilon_prime <= report.bound
             ratings = rng.uniform(0.2, 1.0, size=m)
-            exact = GameScenario(kind="noisy", trust=ratings, n=n, belief=ratings.copy())
-            assert measure_epsilon_prime(exact).epsilon_prime <= 1e-8
+            exact = measure_epsilon_prime(ratings, ratings.copy(), n, 0.0)
+            assert exact.epsilon_prime <= 1e-8
 
 
 F2_GRID = [(m, eps) for m in (5, 10, 20) for eps in (0.01, 0.02)]

@@ -13,7 +13,7 @@ from trep.decoder import (
     noisy_belief_two_point,
 )
 from trep.cli import decode_result_csv
-from trep.equilibrium import GameScenario, truth_telling_profile
+from trep.equilibrium import hierarchy_profile, truth_telling_profile
 from trep.repgraph import Config
 from trep.rng import substream
 
@@ -43,14 +43,17 @@ def test_f1_rejects_bad_input():
         f1(np.zeros(3))
     with pytest.raises(ValueError):
         f1(np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        f1(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        f1(np.array([np.inf, 1.0]))
 
 
 # ----------------------------------------------------------------- decode
 
 def test_decode_equilibrium_profile_recovers_normalized_trust():
     trust = np.array([0.8, 0.2, 0.5])
-    sc = GameScenario(kind="perfect", trust=trust, n=3)
-    result = decode(truth_telling_profile(sc), CFG, trust=trust)
+    result = decode(truth_telling_profile(trust, n=3), CFG, trust=trust)
     np.testing.assert_allclose(result.rho, trust / trust.sum(), atol=1e-10)
     assert result.inversions == 0
     assert result.linf_error <= 1e-10
@@ -59,8 +62,7 @@ def test_decode_equilibrium_profile_recovers_normalized_trust():
 def test_decode_noisy_profile_recovers_normalized_belief():
     trust = np.array([0.8, 0.4])
     belief = np.array([0.84, 0.36])
-    sc = GameScenario(kind="noisy", trust=trust, n=4, belief=belief)
-    result = decode(truth_telling_profile(sc), CFG)
+    result = decode(truth_telling_profile(belief, n=4), CFG)
     np.testing.assert_allclose(result.rho, belief / belief.sum(), atol=1e-10)
 
 
@@ -70,8 +72,7 @@ def test_decode_hierarchy_matches_normalized_trust_for_any_fresh_weights():
     reference = None
     for _ in range(10):
         w = rng.dirichlet(np.ones(2), size=3)
-        sc = GameScenario(kind="hierarchy", trust=trust, n=5, k=2, fresh_weights=w)
-        rho = decode(truth_telling_profile(sc), CFG).rho
+        rho = decode(hierarchy_profile(trust, w), CFG).rho
         np.testing.assert_allclose(rho, trust / trust.sum(), atol=1e-9)
         if reference is None:
             reference = rho
@@ -233,8 +234,7 @@ def test_hoeffding_rejects_nonpositive_delta(delta):
 
 def test_decode_result_csv_layout():
     trust = np.array([0.8, 0.2])
-    sc = GameScenario(kind="perfect", trust=trust, n=2)
-    result = decode(truth_telling_profile(sc), CFG, trust=trust)
+    result = decode(truth_telling_profile(trust, n=2), CFG, trust=trust)
     text = decode_result_csv(result, trust=trust)
     lines = text.splitlines()
     assert lines[0] == "server_index,rho,trust"

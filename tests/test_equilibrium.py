@@ -7,11 +7,11 @@ from trep import equilibrium, pagerank
 from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
-    GameScenario,
     _server_only_reduction,
     best_response_closed_form,
     best_response_to_mass,
     hierarchy_best_response_gains,
+    hierarchy_profile,
     measure_epsilon_prime,
     truth_telling_profile,
     verify_unique_nash,
@@ -251,21 +251,18 @@ def test_verify_unique_nash_deterministic():
 # -------------------------------------------------------- truth telling
 
 def test_truth_telling_perfect():
-    sc = GameScenario(kind="perfect", trust=np.array([0.5, 0.25, 0.25]), n=2)
-    profile = truth_telling_profile(sc)
+    profile = truth_telling_profile(np.array([0.5, 0.25, 0.25]), n=2)
     np.testing.assert_allclose(profile[:, :3], np.tile([0.5, 0.25, 0.25], (2, 1)), atol=1e-15)
     assert np.all(profile[:, 3:] == 0)
 
 
 def test_truth_telling_noisy_uses_belief():
-    sc = GameScenario(kind="noisy", trust=np.array([0.8, 0.4]), n=3, belief=np.array([0.9, 0.3]))
-    profile = truth_telling_profile(sc)
+    profile = truth_telling_profile(np.array([0.9, 0.3]), n=3)
     np.testing.assert_allclose(profile[:, :2], np.tile([0.75, 0.25], (3, 1)), atol=1e-12)
 
 
 def test_truth_telling_hierarchy_rows():
-    sc = GameScenario(kind="hierarchy", trust=np.array([0.6, 0.2]), n=4, k=2)
-    profile = truth_telling_profile(sc)
+    profile = hierarchy_profile(np.array([0.6, 0.2]), np.full((2, 2), 1 / 2))
     np.testing.assert_allclose(profile[:2, :2], np.tile([0.75, 0.25], (2, 1)), atol=1e-12)
     # fresh players endorse the established players uniformly
     np.testing.assert_allclose(profile[2:, 2:4], 0.5, atol=1e-15)
@@ -275,48 +272,81 @@ def test_truth_telling_hierarchy_rows():
 
 def test_truth_telling_hierarchy_custom_weights():
     w = np.array([[0.3, 0.7], [0.9, 0.1]])
-    sc = GameScenario(kind="hierarchy", trust=np.array([0.6, 0.2]), n=4, k=2, fresh_weights=w)
-    profile = truth_telling_profile(sc)
+    profile = hierarchy_profile(np.array([0.6, 0.2]), w)
     np.testing.assert_allclose(profile[2:, 2:4], w, atol=1e-15)
+
+
+@pytest.mark.parametrize("fresh, k", [(1, 1), (3, 1), (1, 3), (2, 4)])
+def test_hierarchy_profile_takes_k_and_n_from_the_weight_shape(fresh, k):
+    trust = np.array([0.6, 0.3, 0.1])
+    w = np.full((fresh, k), 1 / k)
+    profile = hierarchy_profile(trust, w)
+    n, m = fresh + k, trust.size
+    assert profile.shape == (n, m + n)
+    np.testing.assert_array_equal(profile[:k, :m], np.tile(f1(trust), (k, 1)))
+    assert np.all(profile[:k, m:] == 0)
+    np.testing.assert_array_equal(profile[k:, m : m + k], w)
+    assert np.all(profile[k:, :m] == 0) and np.all(profile[k:, m + k :] == 0)
+
+
+# empty and NaN weights: test_hierarchy_k_bounds, test_hierarchy_scenario_rejects_nan_fresh_weights
+@pytest.mark.parametrize(
+    "weights",
+    [np.array([0.5, 0.5]), np.array([[1.5, -0.5]]), np.array([[0.5, 0.4]])],
+    ids=["1-D", "negative", "row-sum-0.9"],
+)
+def test_hierarchy_profile_rejects_bad_weights(weights):
+    with pytest.raises(ValueError):
+        hierarchy_profile(np.array([0.6, 0.2]), weights)
+
+
+def test_hierarchy_profile_checks_trust():
+    with pytest.raises(ValueError):
+        hierarchy_profile(np.array([0.6, 1.2]), np.full((2, 2), 1 / 2))
+    with pytest.raises(ValueError):
+        hierarchy_best_response_gains(np.zeros(2), np.full((2, 2), 1 / 2), CFG)
 
 
 def test_hierarchy_k_bounds():
     trust = np.array([0.6, 0.2])
     with pytest.raises(ValueError):
-        GameScenario(kind="hierarchy", trust=trust, n=4, k=0)
+        hierarchy_profile(trust, np.zeros((4, 0)))  # k = 0
     with pytest.raises(ValueError):
-        GameScenario(kind="hierarchy", trust=trust, n=4, k=4)
+        hierarchy_profile(trust, np.zeros((0, 4)))  # k = n = 4
 
 
 def test_scenario_validation():
+    trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        GameScenario(kind="mystery", trust=np.array([0.5, 0.5]), n=2)
+        measure_epsilon_prime(trust, None, n=2, epsilon=0.0)  # missing belief
     with pytest.raises(ValueError):
-        GameScenario(kind="noisy", trust=np.array([0.5, 0.5]), n=2)  # missing belief
+        truth_telling_profile(trust, n=1)
+    with pytest.raises(ValueError):
+        truth_telling_profile(np.ones((1, 2)), n=2)  # a row is not a belief vector
+    with pytest.raises(ValueError):
+        measure_epsilon_prime(trust, trust, n=1, epsilon=0.0)
 
 
 def test_noisy_scenario_rejects_nan_belief_and_epsilon():
     trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        GameScenario(kind="noisy", trust=trust, n=2, belief=np.array([np.nan, 0.5]))
+        measure_epsilon_prime(trust, np.array([np.nan, 0.5]), n=2, epsilon=0.0)
     with pytest.raises(ValueError):
-        GameScenario(kind="noisy", trust=trust, n=2, belief=trust, epsilon=np.nan)
+        truth_telling_profile(np.array([np.nan, 0.5]), n=2)
+    with pytest.raises(ValueError):
+        measure_epsilon_prime(trust, trust, n=2, epsilon=np.nan)
 
 
 def test_hierarchy_scenario_rejects_nan_fresh_weights():
     with pytest.raises(ValueError):
-        GameScenario(
-            kind="hierarchy", trust=np.array([0.5, 0.5]), n=3, k=2,
-            fresh_weights=np.array([[np.nan, 1.0]]),
-        )
+        hierarchy_profile(np.array([0.5, 0.5]), np.array([[np.nan, 1.0]]))
 
 
 # ------------------------------------------------------------- epsilon'
 
 def test_epsilon_prime_zero_noise():
     trust = np.array([0.7, 0.3, 0.5])
-    sc = GameScenario(kind="noisy", trust=trust, n=4, belief=trust.copy())
-    report = measure_epsilon_prime(sc)
+    report = measure_epsilon_prime(trust, trust.copy(), n=4, epsilon=0.0)
     assert report.epsilon_prime <= 1e-8
 
 
@@ -324,8 +354,7 @@ def test_epsilon_prime_against_grid_oracle():
     trust = np.array([0.8, 0.4])
     belief = np.array([0.85, 0.35])
     n = 4
-    sc = GameScenario(kind="noisy", trust=trust, n=n, belief=belief, epsilon=0.05)
-    report = measure_epsilon_prime(sc)
+    report = measure_epsilon_prime(trust, belief, n, epsilon=0.05)
     mass = (n - 1) * f1(belief)
     base = share_utility(f1(belief), mass, trust)
     x_grid = grid_best_response(trust, mass)
@@ -339,21 +368,15 @@ def test_epsilon_prime_shrinks_with_noise():
     gains = []
     for eps in (0.05, 0.001):
         belief = trust + np.array([eps, -eps])
-        sc = GameScenario(kind="noisy", trust=trust, n=4, belief=belief, epsilon=eps)
-        gains.append(measure_epsilon_prime(sc).epsilon_prime)
+        gains.append(measure_epsilon_prime(trust, belief, n=4, epsilon=eps).epsilon_prime)
     assert gains[1] < gains[0]
     assert gains[1] <= 1e-4
 
 
 def test_epsilon_prime_bound_formula():
-    sc = GameScenario(
-        kind="noisy",
-        trust=np.array([0.8, 0.4]),
-        n=4,
-        belief=np.array([0.82, 0.38]),
-        epsilon=0.02,
+    report = measure_epsilon_prime(
+        np.array([0.8, 0.4]), np.array([0.82, 0.38]), n=4, epsilon=0.02
     )
-    report = measure_epsilon_prime(sc)
     m, n, eps = 2, 4, 0.02
     expected = m * m * (n - 1) / n**2 * (1 + eps) / (1 - eps)
     assert report.bound == pytest.approx(expected, rel=1e-12)
@@ -363,8 +386,7 @@ def test_epsilon_prime_bound_formula():
 
 def test_hierarchy_gains_vanish():
     trust = np.array([0.6, 0.3, 0.3])
-    sc = GameScenario(kind="hierarchy", trust=trust, n=4, k=2)
-    gains = hierarchy_best_response_gains(sc, CFG)
+    gains = hierarchy_best_response_gains(trust, np.full((2, 2), 1 / 2), CFG)
     assert gains.shape == (2,)
     assert np.all(gains <= 1e-8)
 
@@ -375,16 +397,14 @@ def test_hierarchy_gains_invariant_across_fresh_draws():
     seen = []
     for d in range(5):
         w = rng.dirichlet(np.ones(2), size=2)
-        sc = GameScenario(kind="hierarchy", trust=trust, n=4, k=2, fresh_weights=w)
-        gains = hierarchy_best_response_gains(sc, CFG)
+        gains = hierarchy_best_response_gains(trust, w, CFG)
         seen.append(gains.max())
     assert np.ptp(seen) <= 1e-8
 
 
 def test_hierarchy_single_established_player():
     trust = np.array([0.5, 0.5])
-    sc = GameScenario(kind="hierarchy", trust=trust, n=3, k=1)
-    gains = hierarchy_best_response_gains(sc, CFG)
+    gains = hierarchy_best_response_gains(trust, np.ones((2, 1)), CFG)
     assert gains.shape == (1,)
     assert np.all(gains <= 1e-8)
 
@@ -400,8 +420,8 @@ def test_hierarchy_gains_solve_tour_counts_once_per_probe_row_plus_one(k, monkey
 
     monkeypatch.setattr(pagerank, "tour_counts", counting)
     monkeypatch.setattr(equilibrium, "tour_counts", counting)
-    sc = GameScenario(kind="hierarchy", trust=np.array([0.6, 0.3, 0.1]), n=5, k=k)
-    gains = hierarchy_best_response_gains(sc, CFG)
+    trust, n = np.array([0.6, 0.3, 0.1]), 5
+    gains = hierarchy_best_response_gains(trust, np.full((n - k, k), 1 / k), CFG)
     assert np.all(gains <= 1e-8)
     assert len(solves) == k + 1
 
@@ -424,11 +444,9 @@ def hierarchy_cases(draw):
     m = draw(st.integers(2, 6))
     trust = np.array(draw(st.lists(WEIGHT, min_size=m, max_size=m)))
     assume(trust.any())
-    scenario = GameScenario(
-        kind="hierarchy", trust=trust, n=n, k=k, fresh_weights=_distributions(draw, n - k, k)
-    )
+    fresh_weights = _distributions(draw, n - k, k)
     alpha = draw(st.sampled_from([0.05, 0.15, 0.5]))
-    return scenario, Config(alpha=alpha), _distributions(draw, 3, m)
+    return trust, fresh_weights, Config(alpha=alpha), _distributions(draw, 3, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,10 +455,9 @@ def test_server_only_reduction_matches_expected_utilities(case):
     # An established player's utility over its own server row is
     # bipartite_utility(x, b_p, R) / v_p, so the best response to b_p must beat
     # every server-only row under the real expected utilities.
-    scenario, cfg, rows = case
-    profile = truth_telling_profile(scenario)
-    trust, k = scenario.trust, scenario.k
-    m = trust.size
+    trust, fresh_weights, cfg, rows = case
+    profile = hierarchy_profile(trust, fresh_weights)
+    k, m = fresh_weights.shape[1], trust.size
     visits, masses = _server_only_reduction(profile, k, cfg)
     for player in range(k):
 

@@ -306,6 +306,24 @@ def test_dense_to_edge_list_and_back_is_bit_exact():
         assert back.tobytes() == edges.tobytes() == g.edges.tobytes()
 
 
+@pytest.mark.parametrize(
+    "rows, cols, weights, message",
+    [
+        ([0, 1, 1], [0, 0, 0], [1.0, 0.5, 0.5], "sorted"),  # (1, 0) twice
+        ([1, 0], [0, 0], [1.0, 1.0], "sorted"),  # rows out of order
+        ([0, 0, 1], [1, 0, 0], [0.5, 0.5, 1.0], "sorted"),  # columns out of order
+        ([0, 1, 5], [0, 0, 0], [1.0, 1.0, 1.0], "out of range"),  # row 5 of 2 users
+        ([0, -1], [0, 0], [1.0, 1.0], "out of range"),
+        ([0, 1], [0, 3], [1.0, 1.0], "out of range"),  # column 3 of m + n = 3
+        ([0, 1], [0, 0], [1.0], "equal length"),
+        ([[0, 1]], [[0, 0]], [[1.0, 1.0]], "equal length"),  # not vectors
+    ],
+)
+def test_from_coo_checks_its_preconditions(rows, cols, weights, message):
+    with pytest.raises(ValueError, match=message):
+        RepGraph.from_coo(2, 1, rows, cols, weights)
+
+
 def test_zero_weight_edges_are_dropped(tmp_path):
     path = tmp_path / "g.trep"
     path.write_text(MINIMAL + "edge 1 3 0\nedge 2 4 0.0\n")
