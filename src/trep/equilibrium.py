@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import _check_trust, bipartite_utility, expected_utilities, f1
+from .game import _check_trust, bipartite_utility, f1
 from .pagerank import tour_counts
 from .repgraph import Config, _profile_graph
 from .rng import substream
@@ -226,9 +226,11 @@ def measure_epsilon_prime(
 
 
 def _server_only_reduction(
-    profile: np.ndarray, k: int, cfg: Config
-) -> tuple[np.ndarray, np.ndarray]:
-    """Visit totals and effective opponent masses of the established players.
+    profile: np.ndarray, ratings: np.ndarray, k: int, cfg: Config
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visit totals, effective opponent masses and probe utilities of the
+    established players (rows 0..k-1, which own no user edges), from one
+    tour_counts solve.
 
     With N the fundamental matrix of tour_counts, v_t = sum_i N[i, t] counts
     the visits to user t over all sources, and server j receives
@@ -236,15 +238,40 @@ def _server_only_reduction(
     user edges, so N does not depend on p's server row x, and p's expected
     utility is exactly bipartite_utility(x, b_p, R) / v_p with opponent mass
     b_p = sum_{t != p} v_t E_s[t, :] / v_p.
+
+    p's probe row endorses servers by 0.8 N(R) and puts user mass d = 0.2
+    on the other established players (on p itself when k = 1).  Giving p the
+    user row d is a rank-one update of I - (1 - alpha) E_u, so, with r = d^T N
+    and q = (1 - alpha) / (1 - (1 - alpha) r_p) (Sherman & Morrison, 1950),
+    row p of the new N is N[p] + q N[p, p] r and its column sums are
+    v + q v_p r.  d sits on established players, whose rows of N are unit
+    rows, so r_p <= 0.2 and the denominator is at least 1 - 0.2 (1 - alpha).
+    The probe utility is then p's contribution shares, as in
+    expected_utilities, with row p of E_s swapped for 0.8 N(R).
     """
     graph = _profile_graph(profile)
     n, m = graph.n, graph.m
-    visits = tour_counts(graph, cfg)[:, m:].sum(axis=0)
+    keep = 1.0 - cfg.alpha
+    fundamental = tour_counts(graph, cfg)[:, m:]
+    visits = fundamental.sum(axis=0)
+    servers = graph.edges[:, :m]
     masses = np.empty((k, m))
     for player in range(k):
         others = np.arange(n) != player
-        masses[player] = visits[others] @ graph.edges[others, :m] / visits[player]
-    return visits[:k], masses
+        masses[player] = visits[others] @ servers[others] / visits[player]
+
+    probe_users = np.full((k, k), 0.2 / max(k - 1, 1))  # row p holds p's d
+    if k > 1:
+        np.fill_diagonal(probe_users, 0.0)
+    r = probe_users @ fundamental[:k]
+    q = keep / (1.0 - keep * r.diagonal())
+    rows = fundamental[:k] + (q * fundamental.diagonal()[:k])[:, None] * r
+    totals = visits + (q * visits[:k])[:, None] * r
+    swap = 0.8 * f1(ratings) - servers[:k]  # row p of E_s becomes 0.8 N(R)
+    own = rows @ servers + rows.diagonal()[:, None] * swap
+    pots = totals @ servers + totals.diagonal()[:, None] * swap
+    shares = np.divide(own, pots, out=np.zeros_like(own), where=pots > 0)
+    return visits[:k], masses, shares @ ratings
 
 
 def hierarchy_best_response_gains(
@@ -252,32 +279,26 @@ def hierarchy_best_response_gains(
 ) -> np.ndarray:
     """Best-response gains of the established players in hierarchy_profile().
 
-    Both sides of a server-only gain come from one _server_only_reduction:
-    the base utility of the player's row N(R), and the exact best response,
-    which best_response_to_mass solves.  Deviations that also endorse users
-    are covered by a single probe row, evaluated with the real expected
-    utilities, so that part of each gain is a lower bound.  At the
-    proportional-to-trust profile all gains should vanish regardless of how
-    the fresh players split their endorsements.
+    Everything comes from one _server_only_reduction, that is one tour_counts
+    solve: the base utility of the player's row N(R); the exact server-only
+    best response, which best_response_to_mass solves; and the utility of a
+    probe row that also endorses the other established players, exact
+    through a rank-one update of the fundamental matrix.  Other deviations
+    that endorse users are not searched, so that part of each gain is a
+    lower bound.  At the proportional-to-trust profile all gains should
+    vanish regardless of how the fresh players split their endorsements.
     """
     cfg = config or Config()
     profile = hierarchy_profile(trust, fresh_weights)
     ratings = np.asarray(trust, dtype=float)
-    m, k = ratings.size, np.shape(fresh_weights)[1]
+    k = np.shape(fresh_weights)[1]
     nr = f1(ratings)
-    visits, masses = _server_only_reduction(profile, k, cfg)
+    visits, masses, probe = _server_only_reduction(profile, ratings, k, cfg)
     gains = np.zeros(k)
     for player in range(k):
         mass, visit = masses[player], visits[player]
         base = bipartite_utility(nr, mass, ratings) / visit
         response = best_response_to_mass(ratings, mass)
-        best_utility = bipartite_utility(response, mass, ratings) / visit
-        # deviation that also endorses the other established players
-        trial = profile.copy()
-        trial[player] = 0.0
-        trial[player, :m] = 0.8 * nr
-        peers = [m + t for t in range(k) if t != player] or [m + t for t in range(k)]
-        trial[player, peers] = 0.2 / len(peers)
-        best_utility = max(best_utility, expected_utilities(trial, ratings, cfg)[player])
+        best_utility = max(bipartite_utility(response, mass, ratings) / visit, probe[player])
         gains[player] = max(0.0, best_utility - base)
     return gains

@@ -74,15 +74,18 @@ def clique_chain(ratings: np.ndarray) -> np.ndarray:
 
 
 def stationary(chain, config: Config) -> StationaryDistribution:
-    """Stationary distribution by power iteration from the uniform vector.
+    """Stationary distribution by power iteration.
 
-    chain is a dense transition matrix, or the _UserChain operator, whose
-    rows are stochastic by construction.
+    chain is a dense transition matrix, iterated from the uniform vector, or
+    the _UserChain operator, whose rows are stochastic by construction and
+    which is iterated from its own start vector (_UserChain.start).
     """
-    if not isinstance(chain, _UserChain):
+    if isinstance(chain, _UserChain):
+        pi = chain.start
+    else:
         chain = np.asarray(chain, dtype=float)
         _check_stochastic(chain)
-    pi = np.full(chain.shape[0], 1.0 / chain.shape[0])
+        pi = np.full(chain.shape[0], 1.0 / chain.shape[0])
     residual = np.inf
     for iteration in range(1, config.max_iters + 1):
         nxt = pi @ chain
@@ -102,6 +105,12 @@ class _UserChain:
     pi @ chain is one matrix-free step on the graph's nonzeros:
         pi P_U = (1 - alpha) pi E_u + (pi . c) 1^T,  c = (alpha + (1 - alpha) s) / n,
     with s = E_s 1 (Langville & Meyer, "Deeper inside PageRank", 2004).
+
+    Its stationary vector is proportional to 1^T N, N = (I - (1 - alpha) E_u)^-1.
+    `start` takes the first two terms of N's Neumann series,
+        pi_0 proportional to 1^T (I + (1 - alpha) E_u), summing to one,
+    which is exact when E_u^2 = 0 (every hierarchy profile: one power step)
+    and is bit for bit the uniform vector when E_u = 0.
     """
 
     __array_ufunc__ = None  # makes `pi @ chain` call __rmatmul__
@@ -114,6 +123,8 @@ class _UserChain:
         self.follow = keep * weights[to_user]
         server_mass = np.bincount(rows, np.where(to_user, 0.0, weights), n)
         self.jump = (config.alpha + keep * server_mass) / n
+        start = 1.0 + np.bincount(self.dst, self.follow, n)
+        self.start = start / start.sum()
 
     def __rmatmul__(self, pi: np.ndarray) -> np.ndarray:
         return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + pi.dot(self.jump)

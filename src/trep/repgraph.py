@@ -38,7 +38,10 @@ class Config:
     iteration budget, and tol the L1 step at which power iteration stops.
     tol bounds the last step, not the error: on the user chain, which
     contracts by 1 - alpha per step, the L1 error is bounded only by
-    (1 - alpha) / alpha * tol, that is 19 * tol at alpha = 0.05.
+    (1 - alpha) / alpha * tol, that is 19 * tol at alpha = 0.05.  The user
+    chain's iteration starts from 1^T (I + (1 - alpha) E_u), normalized: the
+    stationary vector itself when E_u^2 = 0 (one step), the uniform vector
+    when E_u = 0.
     """
 
     alpha: float = 0.15
@@ -232,7 +235,7 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     the edge list; 1_0, non-ASCII digits and the other tokens it cannot read
     as int and float do go to the line loop (see _parse_bulk).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
     drift, slack = np.abs(np.bincount(rows, weights, minlength=n) - 1.0), _slack(rows)
     for i in np.flatnonzero((drift > ROW_SUM_TOL - slack) & (drift < ROW_SUM_RENORM + slack)):

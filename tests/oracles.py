@@ -12,14 +12,18 @@ on the user block, which shares nothing with the power iteration.  Ranking
 inversions are counted pair by pair, where the package compares all pairs at
 once.  Scenario files are parsed by the line-by-line loop into a dense
 matrix that `load` used before it parsed edge lines in bulk into an edge list.
+Hierarchy gains are recomputed by the per-player loop that gave each probe
+row its own profile and tour-count solve, where the package updates one
+solve by a rank-one term per probe row.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from trep.equilibrium import best_response_to_mass
-from trep.pagerank import StationaryDistribution, _check_stochastic
+from trep.equilibrium import best_response_to_mass, hierarchy_profile
+from trep.game import bipartite_utility, expected_utilities, f1
+from trep.pagerank import StationaryDistribution, _check_stochastic, tour_counts
 from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, validate
 
 ORACLE_MAX_STATES = 200
@@ -212,6 +216,42 @@ def bipartite_expected_utilities(profile, trust):
     return shares @ np.asarray(trust, dtype=float)
 
 
+def probe_profile(profile, player, k, m):
+    """profile with player's row swapped for the probe row of
+    hierarchy_best_response_gains: 0.8 of its server row N(R) kept on the
+    servers, 0.2 spread over the other established players (over player
+    itself when k = 1)."""
+    trial = profile.copy()
+    trial[player] = 0.0
+    trial[player, :m] = 0.8 * profile[player, :m]
+    peers = [m + t for t in range(k) if t != player] or [m + t for t in range(k)]
+    trial[player, peers] = 0.2 / len(peers)
+    return trial
+
+
+def hierarchy_gains_oracle(trust, fresh_weights, cfg):
+    """hierarchy_best_response_gains by a loop over the established players:
+    one tour-count solve for the visits and opponent masses, then one more
+    per player, whose probe row expected_utilities scores on an explicit
+    copy of the profile."""
+    profile = hierarchy_profile(trust, fresh_weights)
+    ratings = np.asarray(trust, dtype=float)
+    n, k, m = profile.shape[0], fresh_weights.shape[1], ratings.size
+    nr = f1(ratings)
+    visits = tour_counts(RepGraph(n=n, m=m, edges=profile), cfg)[:, m:].sum(axis=0)
+    gains = np.zeros(k)
+    for player in range(k):
+        others = np.arange(n) != player
+        mass = visits[others] @ profile[others, :m] / visits[player]
+        base = bipartite_utility(nr, mass, ratings) / visits[player]
+        response = best_response_to_mass(ratings, mass)
+        best_utility = bipartite_utility(response, mass, ratings) / visits[player]
+        trial = probe_profile(profile, player, k, m)
+        best_utility = max(best_utility, expected_utilities(trial, ratings, cfg)[player])
+        gains[player] = max(0.0, best_utility - base)
+    return gains
+
+
 def restarted_chain(edges, m, alpha, source):
     """Transition matrix of the walk that restarts at one user.
 
@@ -302,7 +342,7 @@ def load_oracle(path):
     Returns (n, m, alpha, trust, edges) or raises what load raises: the
     ParseError with its line number, or the ValueError of validate.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n = m = None
     alpha: float | None = None
     trust: np.ndarray | None = None

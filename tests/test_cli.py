@@ -85,6 +85,15 @@ def test_decode_writes_csv_and_summary(scenario, tmp_path, capsys):
     assert "inversions 0" in captured.out
 
 
+def test_decode_reads_a_file_with_a_byte_order_mark(scenario, tmp_path, capsys):
+    marked = tmp_path / "marked.trep"
+    marked.write_text("\ufeff" + SCENARIO, encoding="utf-8")
+    assert main(["decode", str(marked), "--out", str(tmp_path / "marked")]) == 0
+    assert main(["decode", str(scenario), "--out", str(tmp_path / "plain")]) == 0
+    marked_csv = (tmp_path / "marked" / "decode.csv").read_bytes()
+    assert marked_csv == (tmp_path / "plain" / "decode.csv").read_bytes()
+
+
 def test_decode_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.trep"
     bad.write_text("trep v9\n", encoding="utf-8")

@@ -23,7 +23,9 @@ from oracles import (
     best_response_by_enumeration,
     best_response_numeric,
     grid_best_response,
+    hierarchy_gains_oracle,
     pg_best_response,
+    probe_profile,
     share_utility,
 )
 
@@ -410,7 +412,7 @@ def test_hierarchy_single_established_player():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_hierarchy_gains_solve_tour_counts_once_per_probe_row_plus_one(k, monkeypatch):
+def test_hierarchy_gains_solve_tour_counts_once(k, monkeypatch):
     solves = []
     original = pagerank.tour_counts
 
@@ -423,7 +425,7 @@ def test_hierarchy_gains_solve_tour_counts_once_per_probe_row_plus_one(k, monkey
     trust, n = np.array([0.6, 0.3, 0.1]), 5
     gains = hierarchy_best_response_gains(trust, np.full((n - k, k), 1 / k), CFG)
     assert np.all(gains <= 1e-8)
-    assert len(solves) == k + 1
+    assert len(solves) == 1
 
 
 WEIGHT = st.floats(0.0, 1.0, allow_subnormal=False)
@@ -458,7 +460,7 @@ def test_server_only_reduction_matches_expected_utilities(case):
     trust, fresh_weights, cfg, rows = case
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    visits, masses = _server_only_reduction(profile, k, cfg)
+    visits, masses, _ = _server_only_reduction(profile, trust, k, cfg)
     for player in range(k):
 
         def utility(row):
@@ -471,3 +473,20 @@ def test_server_only_reduction_matches_expected_utilities(case):
             assert abs(reduced - utility(row)) <= 1e-12
         best = utility(best_response_to_mass(trust, masses[player]))
         assert all(best >= utility(row) - 1e-12 for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hierarchy_cases())
+def test_hierarchy_gains_match_the_per_player_loop(case):
+    # The probe rows come from one tour-count solve by a rank-one update of
+    # its fundamental matrix; the oracle scores each on its own profile.
+    trust, fresh_weights, cfg, _ = case
+    gains = hierarchy_best_response_gains(trust, fresh_weights, cfg)
+    expected = hierarchy_gains_oracle(trust, fresh_weights, cfg)
+    np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
+    profile = hierarchy_profile(trust, fresh_weights)
+    k, m = fresh_weights.shape[1], trust.size
+    _, _, probe = _server_only_reduction(profile, trust, k, cfg)
+    for player in range(k):
+        trial = probe_profile(profile, player, k, m)
+        assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12

@@ -14,7 +14,8 @@ from trep.pagerank import (
     stationary,
     tour_counts,
 )
-from trep.repgraph import Config, RepGraph
+from trep.equilibrium import hierarchy_profile, truth_telling_profile
+from trep.repgraph import Config, RepGraph, _profile_graph
 
 from oracles import designated_user_mass, single_source_tour_counts, stationary_oracle
 
@@ -374,3 +375,26 @@ def test_tour_counts_renewal_identity():
     counts = tour_counts(graph, CFG).sum(axis=0)
     pi = stationary(build_designated_chain(graph, CFG), CFG).pi
     np.testing.assert_allclose(counts / counts.sum(), pi, atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.15, 0.5])
+def test_user_chain_takes_one_step_on_hierarchy_profiles(alpha):
+    # Newcomers endorse only established players, who endorse only servers,
+    # so E_u^2 = 0 and the start vector 1^T (I + (1 - alpha) E_u) is exact.
+    cfg = Config(alpha=alpha, tol=1e-14)
+    rng = np.random.default_rng(12)
+    for n in range(3, 9):
+        for k in range(1, n):
+            trust = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 7)))
+            graph = _profile_graph(hierarchy_profile(trust, rng.dirichlet(np.ones(k), size=n - k)))
+            result = stationary(_UserChain(graph, cfg), cfg)
+            assert result.iterations_used == 1
+            expected = designated_user_mass(graph.edges, graph.m, alpha)
+            np.testing.assert_allclose(result.pi, expected / expected.sum(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 2000])
+def test_user_chain_starts_uniform_without_user_edges(n):
+    rng = np.random.default_rng(n)
+    graph = _profile_graph(truth_telling_profile(rng.uniform(0.1, 1.0, size=5), n))
+    np.testing.assert_array_equal(_UserChain(graph, CFG).start, np.full(n, 1 / n))

@@ -191,6 +191,44 @@ def test_load_rejects_bad_header(tmp_path):
         load(path)
 
 
+def test_load_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    # Some editors start a UTF-8 file with a byte-order mark.
+    text = MINIMAL.replace("alpha 0.15\n", "alpha 0.15\ntrust 0.9 0.4\n")
+    plain, marked = tmp_path / "plain.trep", tmp_path / "marked.trep"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    parsed = []
+    parse_bulk = repgraph._parse_bulk
+    monkeypatch.setattr(repgraph, "_parse_bulk", lambda t: parsed.append(parse_bulk(t)) or parsed[-1])
+    (graph, cfg), (expected, expected_cfg) = load(marked), load(plain)
+    assert len(parsed) == 2 and parsed[0] is not None  # the bulk path, not the fallback
+    assert (graph.n, graph.m, cfg) == (expected.n, expected.m, expected_cfg)
+    np.testing.assert_array_equal(graph.trust, expected.trust)
+    np.testing.assert_array_equal(graph.edges, expected.edges)
+    np.testing.assert_array_equal(load_oracle(marked)[4], expected.edges)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\ufeff\ufeff" + MINIMAL,
+        MINIMAL.replace("users 2", "\ufeffusers 2"),
+        MINIMAL.replace("edge 2 1", "\ufeffedge 2 1"),
+        MINIMAL.replace("edge 2 1 0.5", "edge 2 1 0.5\ufeff"),
+        MINIMAL + "\ufeff\n",
+    ],
+    ids=["second-mark", "declaration", "edge-key", "edge-weight", "own-line"],
+)
+def test_load_rejects_a_byte_order_mark_after_the_start(tmp_path, text):
+    path = tmp_path / "g.trep"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as got:
+        load(path)
+    with pytest.raises(ParseError) as expected:
+        load_oracle(path)
+    assert (str(got.value), got.value.lineno) == (str(expected.value), expected.value.lineno)
+
+
 def test_load_reports_line_numbers(tmp_path):
     path = tmp_path / "g.trep"
     path.write_text(MINIMAL + "edge 1 9 0.5\n")
