@@ -237,14 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("decode", help="decode server scores from a scenario")
     _add_common(p)
-    p.set_defaults(func=cmd_decode)
 
     p = commands.add_parser("nash", help="verify the proportional equilibrium")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="player count override")
     p.add_argument("--k", type=int, default=None, help="established player count (hierarchy mode)")
     p.add_argument("--trials", type=_trial_count, default=100, help="probe count or hierarchy draws")
-    p.set_defaults(func=cmd_nash)
 
     p = commands.add_parser("noisy", help="sweep belief noise and measure the defect")
     _add_common(p)
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.0, help="per-entry failure probability of the noise model")
     p.add_argument("--delta", type=float, default=None, help="belief-mass drift for the decodability check")
     p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
-    p.set_defaults(func=cmd_noisy)
 
     p = commands.add_parser("bootstrap", help="simulate committee bootstrapping")
     _add_common(p)
@@ -268,14 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.9, help="fraction of the pool selected")
     p.add_argument("--trials", type=_trial_count, default=10, help="independent runs")
     p.add_argument("--parallel", type=int, default=0, help=PARALLEL_HELP)
-    p.set_defaults(func=cmd_bootstrap)
     return parser
 
 
+# The parser main() builds on its first call and reuses; argparse keeps no
+# state between parses, so one parser serves every call in the process.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # Looked up by name at each call, not bound in the long-lived parser, so
+    # a rebinding of cmd_* in this module (a tracer, a test) takes effect.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (NonConvergence, AllServersUntrusted, DegenerateBelief) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

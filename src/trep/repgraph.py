@@ -139,8 +139,9 @@ def _slack(rows: np.ndarray) -> float:
 def validate(graph: RepGraph) -> list[str]:
     """Return all invariant violations of the graph (empty list when valid).
 
-    O(n + nnz): rows are screened with bincount sums; flagged rows with
-    edges are built densely, for their messages.
+    O(n + nnz): rows are screened with bincount sums, and a flagged row is
+    judged on its own edges.  Every decision and message is the one its
+    dense row gives, bit for bit.
     """
     violations: list[str] = []
     n, m = graph.n, graph.m
@@ -148,22 +149,36 @@ def validate(graph: RepGraph) -> list[str]:
         violations.append(f"n must be at least 2, got {n}")
     if m < 1:
         violations.append(f"m must be at least 1, got {m}")
-    rows, weights = graph.rows, graph.weights
-    accept = np.abs(np.bincount(rows, weights, minlength=n) - 1.0) <= ROW_SUM_TOL - _slack(rows)
+    rows, cols, weights = graph.rows, graph.cols, graph.weights
+    totals = np.bincount(rows, weights, minlength=n)
+    accept = np.abs(totals - 1.0) <= ROW_SUM_TOL - _slack(rows)
+    negative = None
     if np.any(weights < 0):
-        accept &= np.bincount(rows, weights < 0, minlength=n) == 0
-    edgeless = np.bincount(rows, minlength=n) == 0
-    for i in np.flatnonzero(~accept):  # NaN totals are not accepted either
-        if edgeless[i]:  # stored weights are nonzero, so only an edgeless row is all zeros
+        negative = np.bincount(rows, weights < 0, minlength=n) > 0
+        accept &= ~negative
+    for i in np.flatnonzero(~accept).tolist():  # NaN totals are not accepted either
+        lo, hi = np.searchsorted(rows, [i, i + 1]).tolist()
+        if lo == hi:  # stored weights are nonzero, so only an edgeless row is all zeros
             violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
             continue
-        row = _dense_row(m + n, rows, graph.cols, weights, i)[0]
-        total = row.sum()
-        if np.any(row < 0):
-            j = int(np.argmin(row))
-            violations.append(f"row {i + 1} column {j + 1}: negative weight {row[j]:.12g}")
-        elif not abs(total - 1.0) <= ROW_SUM_TOL:
-            violations.append(f"row {i + 1} sums to {total:.12g}, expected 1")
+        if negative is not None and negative[i]:
+            edge = weights[lo:hi]
+            k = int(np.argmin(edge))  # cols are sorted: the dense row's first minimum (or NaN)
+            violations.append(f"row {i + 1} column {cols[lo + k] + 1}: negative weight {edge[k]:.12g}")
+            continue
+        # total adds the row's positive weights in turn and the dense row adds
+        # them in another order, so the two sums lie within spread of each
+        # other.  Where that could change the decision or the 12 digits
+        # printed, the dense row decides.
+        total = float(totals[i])
+        spread = 2 * (hi - lo) * _EPS * abs(total)
+        printed = f"{total - spread:.12g}"
+        if abs(total - 1.0) <= ROW_SUM_TOL + spread or printed != f"{total + spread:.12g}":
+            total = _dense_row(m + n, rows, cols, weights, i)[0].sum()
+            if abs(total - 1.0) <= ROW_SUM_TOL:
+                continue
+            printed = f"{total:.12g}"
+        violations.append(f"row {i + 1} sums to {printed}, expected 1")
     if graph.trust is not None:
         trust = graph.trust
         if trust.shape != (m,):

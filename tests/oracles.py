@@ -14,7 +14,9 @@ once.  Scenario files are parsed by the line-by-line loop into a dense
 matrix that `load` used before it parsed edge lines in bulk into an edge list.
 Hierarchy gains are recomputed by the per-player loop that gave each probe
 row its own profile and tour-count solve, where the package updates one
-solve by a rank-one term per probe row.
+solve by a rank-one term per probe row.  Row violations are found on each
+dense row in turn, where `validate` screens the edge list and judges a
+flagged row on its edges.
 """
 
 from pathlib import Path
@@ -288,7 +290,7 @@ def designated_user_mass(edges, m, alpha):
 
 
 def row_violations(edges):
-    """Row messages of repgraph.validate, found one row at a time."""
+    """Row messages of repgraph.validate, found one dense row at a time."""
     violations = []
     for i, row in enumerate(edges, start=1):
         if np.any(row < 0):

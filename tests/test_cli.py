@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trep.cli import main
+import trep.cli
+from trep import repgraph
+from trep.cli import DEFAULT_EPSILONS, main
 
 SCENARIO = """trep v1
 users 3
@@ -325,3 +332,84 @@ def test_nash_k_out_of_range_exits_2_before_any_draw(scenario, tmp_path, capsys,
     k = override[-1]
     assert f"error: k must lie in 1..{players - 1}, got {k}" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
+
+
+# ------------------------------------------------------ one parser per process
+
+def test_noisy_default_sweep_after_an_epsilon_call(scenario, tmp_path):
+    args = ["noisy", str(scenario), "--trials", "2", "--seed", "3"]
+    assert main(args + ["--epsilon", "0.01", "--out", str(tmp_path / "one")]) == 0
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    lines = (tmp_path / "default" / "noisy.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(ln.split(",")[0]) for ln in lines] == [e for e in DEFAULT_EPSILONS for _ in range(2)]
+
+
+def test_good_call_after_a_parse_error_matches_a_fresh_process(scenario, tmp_path):
+    args = ["bootstrap", str(scenario), "--lambda", "3", "--committee", "2", "--seed", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--trials", "0", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert main(args + ["--trials", "3", "--out", str(tmp_path / "shared")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(trep.cli.__file__).parents[1]))
+    fresh = [sys.executable, "-m", "trep.cli", *args, "--trials", "3", "--out", str(tmp_path / "fresh")]
+    subprocess.run(fresh, env=env, check=True, capture_output=True)
+    for name in ("bootstrap.csv", "bootstrap.log"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_alpha_override_does_not_outlive_its_call(scenario, tmp_path, monkeypatch):
+    alphas = []
+    decode_graph = trep.cli.decode_graph
+    monkeypatch.setattr(
+        trep.cli, "decode_graph", lambda g, cfg, **kw: alphas.append(cfg.alpha) or decode_graph(g, cfg, **kw)
+    )
+    assert main(["decode", str(scenario), "--alpha", "0.5", "--out", str(tmp_path)]) == 0
+    assert main(["decode", str(scenario), "--out", str(tmp_path)]) == 0
+    assert alphas == [0.5, 0.15]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "s.trep", "--tol", "1e-10"],
+        ["nash", "s.trep", "--k", "2", "--trials", "3"],
+        ["noisy", "s.trep", "--epsilon", "0.01", "--epsilon", "0.02", "--delta", "0.1"],
+        ["bootstrap", "s.trep", "--lambda", "4", "--fraction", "0.5"],
+    ],
+    ids=["decode", "nash", "noisy", "bootstrap"],
+)
+def test_shared_parser_parses_as_a_fresh_one(monkeypatch, argv):
+    seen = []
+    monkeypatch.setattr(trep.cli, f"cmd_{argv[0]}", lambda args: seen.append(vars(args)) or 0)
+    assert main(argv) == 0
+    assert main(argv) == 0
+    expected = vars(trep.cli.build_parser().parse_args(argv))
+    assert seen == [expected, expected]
+
+
+def test_main_builds_its_parser_once(scenario, tmp_path, monkeypatch):
+    built = []
+    build_parser = trep.cli.build_parser
+    monkeypatch.setattr(trep.cli, "_PARSER", None)
+    monkeypatch.setattr(trep.cli, "build_parser", lambda: built.append(1) or build_parser())
+    for command in ("decode", "nash", "noisy", "bootstrap", "decode"):
+        trials = [] if command == "decode" else ["--trials", "2"]
+        assert main([command, str(scenario), *trials, "--out", str(tmp_path)]) == 0
+    assert built == [1]
+
+
+def test_rejection_of_every_row_stays_linear(tmp_path, capsys, monkeypatch):
+    dense_rows = []
+    original = repgraph._dense_row
+    monkeypatch.setattr(
+        repgraph, "_dense_row", lambda *args: dense_rows.append(args[-1]) or original(*args)
+    )
+    n = 20_000
+    path = tmp_path / "half.trep"
+    edges = "".join(f"edge {i} 1 0.5\n" for i in range(1, n + 1))
+    path.write_text(f"trep v1\nusers {n}\nservers 1\nalpha 0.15\n" + edges, encoding="utf-8")
+    assert main(["decode", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 1 sums to 0.5, expected 1; row 2 sums to 0.5, expected 1;")
+    assert err.count("sums to 0.5, expected 1") == n
+    assert dense_rows == []

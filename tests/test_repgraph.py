@@ -114,6 +114,38 @@ def test_validate_builds_no_dense_row_for_an_edgeless_user(monkeypatch):
     assert dense_rows == []
 
 
+def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows(monkeypatch):
+    # Up to 40 edges in rows up to 400 wide: the dense row's pairwise sum adds
+    # the weights in another order than the edge list.  Totals lie within a
+    # few ulps of the tolerance or of a rounding boundary of the 12 digits
+    # printed (1 + 5e-12), or far off; rows hold negative or NaN weights or
+    # no edges.
+    dense_rows = []
+    original = repgraph._dense_row
+    monkeypatch.setattr(
+        repgraph, "_dense_row", lambda *args: dense_rows.append(args[-1]) or original(*args)
+    )
+    targets = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-12, 0.5 + 5e-13, 1.001, 3.0]
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n, m = int(rng.integers(2, 300)), int(rng.integers(1, 100))
+        rows, cols, weights = [], [], []
+        for i in range(n):
+            kind = int(rng.integers(8))
+            k = 0 if kind == 0 else int(rng.integers(1, min(40, m + n) + 1))
+            w = rng.dirichlet(np.ones(k)) * targets[int(rng.integers(len(targets)))] if k else []
+            if kind == 1:
+                w[rng.integers(k)] = -rng.random()
+            elif kind == 2:
+                w[rng.integers(k)] = np.nan
+            rows += [i] * k
+            cols += sorted(rng.choice(m + n, size=k, replace=False).tolist())
+            weights += list(w)
+        graph = RepGraph.from_coo(n, m, rows, cols, weights)
+        assert validate(graph) == row_violations(graph.edges)
+    assert dense_rows  # the rows near a boundary were decided densely
+
+
 # ---------------------------------------------------- strategy profiles as graphs
 
 def test_from_strategies_copies_rows():
