@@ -176,7 +176,7 @@ def hoeffding_check(
     Measures how often |  ||R'||_1 - ||R||_1  | reaches delta; the bound is
     q = exp(-delta^2 / (4 epsilon^2 m)).
     """
-    trust = np.asarray(trust, dtype=float)
+    trust = _check_trust(trust)
     m = trust.size
     if trials < 1:
         raise ValueError("need at least one trial")

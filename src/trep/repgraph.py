@@ -17,7 +17,6 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12       # row sums within this of 1 are accepted verbatim
 ROW_SUM_RENORM = 1e-9     # drift below this is renormalized, above is rejected
-_EPS = float(np.finfo(float).eps)
 
 
 class ParseError(ValueError):
@@ -117,31 +116,13 @@ class RepGraph:
         return self._dense
 
 
-def _dense_row(width: int, rows, cols, weights, i: int) -> tuple[np.ndarray, slice]:
-    """Dense row i of a row-sorted edge list, and the slice that holds it."""
-    lo, hi = np.searchsorted(rows, [i, i + 1])
-    row = np.zeros(width)
-    row[cols[lo:hi]] = weights[lo:hi]
-    return row, slice(lo, hi)
-
-
-def _slack(rows: np.ndarray) -> float:
-    """How far a bincount row total may lie from the dense row sum.
-
-    bincount adds a row's weights in turn, a dense sum adds them pairwise;
-    for rows summing to less than 2 the two differ by less than this.  Rows
-    this close to a tolerance are decided on the dense row sum, so every
-    decision is the dense one, bit for bit.
-    """
-    return (np.bincount(rows).max(initial=0) + 128) * 2 * _EPS
-
-
 def validate(graph: RepGraph) -> list[str]:
     """Return all invariant violations of the graph (empty list when valid).
 
-    O(n + nnz): rows are screened with bincount sums, and a flagged row is
-    judged on its own edges.  Every decision and message is the one its
-    dense row gives, bit for bit.
+    O(n + nnz).  A row's total is its weights added one at a time in column
+    order, as bincount adds them over the sorted edge list.  A row with no
+    negative weight is accepted when its total lies within ROW_SUM_TOL of 1;
+    otherwise its message prints that total.
     """
     violations: list[str] = []
     n, m = graph.n, graph.m
@@ -151,7 +132,7 @@ def validate(graph: RepGraph) -> list[str]:
         violations.append(f"m must be at least 1, got {m}")
     rows, cols, weights = graph.rows, graph.cols, graph.weights
     totals = np.bincount(rows, weights, minlength=n)
-    accept = np.abs(totals - 1.0) <= ROW_SUM_TOL - _slack(rows)
+    accept = np.abs(totals - 1.0) <= ROW_SUM_TOL
     negative = None
     if np.any(weights < 0):
         negative = np.bincount(rows, weights < 0, minlength=n) > 0
@@ -166,19 +147,7 @@ def validate(graph: RepGraph) -> list[str]:
             k = int(np.argmin(edge))  # cols are sorted: the dense row's first minimum (or NaN)
             violations.append(f"row {i + 1} column {cols[lo + k] + 1}: negative weight {edge[k]:.12g}")
             continue
-        # total adds the row's positive weights in turn and the dense row adds
-        # them in another order, so the two sums lie within spread of each
-        # other.  Where that could change the decision or the 12 digits
-        # printed, the dense row decides.
-        total = float(totals[i])
-        spread = 2 * (hi - lo) * _EPS * abs(total)
-        printed = f"{total - spread:.12g}"
-        if abs(total - 1.0) <= ROW_SUM_TOL + spread or printed != f"{total + spread:.12g}":
-            total = _dense_row(m + n, rows, cols, weights, i)[0].sum()
-            if abs(total - 1.0) <= ROW_SUM_TOL:
-                continue
-            printed = f"{total:.12g}"
-        violations.append(f"row {i + 1} sums to {printed}, expected 1")
+        violations.append(f"row {i + 1} sums to {totals[i]:.12g}, expected 1")
     if graph.trust is not None:
         trust = graph.trust
         if trust.shape != (m,):
@@ -245,19 +214,18 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
 
     Grammar violations raise ParseError with the offending line number;
     structural violations (bad row sums, dangling users) raise ValueError.
-    Row sums drifting from 1 by less than 1e-9 are silently renormalized.
-    No dense matrix is built: NumPy's text reader converts the edge lines to
-    the edge list; 1_0, non-ASCII digits and the other tokens it cannot read
-    as int and float do go to the line loop (see _parse_bulk).
+    A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
+    ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
+    is built: NumPy's text reader converts the edge lines to the edge list;
+    1_0, non-ASCII digits and the other tokens it cannot read as int and
+    float do go to the line loop (see _parse_bulk).
     """
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
-    drift, slack = np.abs(np.bincount(rows, weights, minlength=n) - 1.0), _slack(rows)
-    for i in np.flatnonzero((drift > ROW_SUM_TOL - slack) & (drift < ROW_SUM_RENORM + slack)):
-        row, span = _dense_row(m + n, rows, cols, weights, i)
-        total = row.sum()
-        if total > 0 and ROW_SUM_TOL < abs(total - 1.0) < ROW_SUM_RENORM:
-            weights[span] /= total
+    totals = np.bincount(rows, weights, minlength=n)
+    drift = np.abs(totals - 1.0)
+    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[rows]
+    weights[drifting] /= totals[rows[drifting]]
     graph = RepGraph.from_coo(n, m, rows, cols, weights, trust)
     _require_valid(graph)
     return graph, Config(alpha=alpha)

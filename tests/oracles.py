@@ -14,9 +14,10 @@ once.  Scenario files are parsed by the line-by-line loop into a dense
 matrix that `load` used before it parsed edge lines in bulk into an edge list.
 Hierarchy gains are recomputed by the per-player loop that gave each probe
 row its own profile and tour-count solve, where the package updates one
-solve by a rank-one term per probe row.  Row violations are found on each
-dense row in turn, where `validate` screens the edge list and judges a
-flagged row on its edges.
+solve by a rank-one term per probe row.  Row totals, for row violations and
+for renormalization, add each dense row's entries left to right in a loop,
+where `validate` and `load` take every total from one bincount over the edge
+list; adding a zero is exact, so the two agree bit for bit.
 """
 
 from pathlib import Path
@@ -289,15 +290,27 @@ def designated_user_mass(edges, m, alpha):
     return np.linalg.solve(system.T, np.ones(n))
 
 
+def _left_to_right(row):
+    """The row's entries added one at a time from the left; builtin sum would
+    not do, as it compensates on Python >= 3.12."""
+    total = 0.0
+    for value in row.tolist():
+        total += value
+    return total
+
+
 def row_violations(edges):
-    """Row messages of repgraph.validate, found one dense row at a time."""
+    """Row messages of repgraph.validate, found one dense row at a time.
+
+    A row's total adds its entries left to right, zeros included.
+    """
     violations = []
     for i, row in enumerate(edges, start=1):
         if np.any(row < 0):
             j = int(np.argmin(row))
             violations.append(f"row {i} column {j + 1}: negative weight {row[j]:.12g}")
             continue
-        total = row.sum()
+        total = _left_to_right(row)
         if total == 0.0:
             violations.append(f"row {i} is all zeros: every user must endorse someone")
         elif not abs(total - 1.0) <= 1e-12:
@@ -423,7 +436,7 @@ def load_oracle(path):
     for (i, j), w in entries.items():
         edges[i - 1, j - 1] = w
     for i in range(n):
-        total = edges[i].sum()
+        total = _left_to_right(edges[i])
         if total > 0 and ROW_SUM_TOL < abs(total - 1.0) < ROW_SUM_RENORM:
             edges[i] /= total
     violations = [f"n must be at least 2, got {n}"] if n < 2 else []

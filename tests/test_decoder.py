@@ -180,8 +180,15 @@ def test_generators_and_hoeffding_check_reject_nan_trust():
     for generator in (noisy_belief_two_point, noisy_belief_gaussian):
         with pytest.raises(ValueError, match="symmetric noise"):
             generator(trust, 0.01, substream(43))
-        with pytest.raises(ValueError, match="symmetric noise"):
+        with pytest.raises(ValueError, match=r"trust values must lie in \[0, 1\]"):
             hoeffding_check(trust, epsilon=0.01, delta=0.05, trials=10, generator=generator)
+
+
+@pytest.mark.parametrize("trust", [[], [[0.5, 0.5]]])
+def test_hoeffding_check_rejects_trust_that_is_not_a_nonempty_vector(trust):
+    # as f2_check does: an empty trust divided by zero in q, a matrix passed
+    with pytest.raises(ValueError, match="trust must be a nonempty vector"):
+        hoeffding_check(trust, epsilon=0.01, delta=0.05, trials=10)
 
 
 def test_zero_noise_returns_trust():

@@ -100,31 +100,19 @@ def test_validate_checks_trust_range():
     assert any("trust" in v for v in validate(zero))
 
 
-def test_validate_builds_no_dense_row_for_an_edgeless_user(monkeypatch):
-    dense_rows = []
-    original = repgraph._dense_row
-    monkeypatch.setattr(
-        repgraph, "_dense_row", lambda *args: dense_rows.append(args[-1]) or original(*args)
-    )
+def test_validate_builds_no_dense_row_for_an_edgeless_user():
     n = 50_000
     graph = RepGraph.from_coo(n, 1, [0], [0], [1.0])
     assert validate(graph) == [
         f"row {i} is all zeros: every user must endorse someone" for i in range(2, n + 1)
     ]
-    assert dense_rows == []
 
 
-def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows(monkeypatch):
-    # Up to 40 edges in rows up to 400 wide: the dense row's pairwise sum adds
-    # the weights in another order than the edge list.  Totals lie within a
-    # few ulps of the tolerance or of a rounding boundary of the 12 digits
-    # printed (1 + 5e-12), or far off; rows hold negative or NaN weights or
-    # no edges.
-    dense_rows = []
-    original = repgraph._dense_row
-    monkeypatch.setattr(
-        repgraph, "_dense_row", lambda *args: dense_rows.append(args[-1]) or original(*args)
-    )
+def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows():
+    # Up to 40 edges in rows up to 400 wide, where the oracle adds each dense
+    # row left to right, zeros included.  Totals lie within a few ulps of the
+    # tolerance or of a rounding boundary of the 12 digits printed
+    # (1 + 5e-12), or far off; rows hold negative or NaN weights or no edges.
     targets = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-12, 0.5 + 5e-13, 1.001, 3.0]
     rng = np.random.default_rng(21)
     for _ in range(40):
@@ -143,7 +131,6 @@ def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows(monkeypatch):
             weights += list(w)
         graph = RepGraph.from_coo(n, m, rows, cols, weights)
         assert validate(graph) == row_violations(graph.edges)
-    assert dense_rows  # the rows near a boundary were decided densely
 
 
 # ---------------------------------------------------- strategy profiles as graphs
@@ -321,6 +308,42 @@ def test_load_rejects_large_row_drift(tmp_path):
     path.write_text(drift)
     with pytest.raises(ValueError):
         load(path)
+
+
+def test_load_renormalizes_every_drifting_row_in_bulk(tmp_path):
+    # one edge of weight 1.0000000001 per user: each row is divided by its
+    # total, its one weight, so every weight reads exactly 1
+    n = 20_000
+    text = f"trep v1\nusers {n}\nservers 1\nalpha 0.15\n" + "".join(
+        f"edge {i} 1 1.0000000001\n" for i in range(1, n + 1)
+    )
+    path = tmp_path / "drift.trep"
+    path.write_text(text, encoding="utf-8")
+    assert _parse_bulk(text) is not None
+    graph, _ = load(path)
+    np.testing.assert_array_equal(graph.rows, np.arange(n))
+    np.testing.assert_array_equal(graph.cols, np.zeros(n))
+    assert np.all(graph.weights == 1.0)
+
+
+def test_load_renormalizes_wide_rows_of_several_edges_as_the_oracle_does(tmp_path):
+    # 3 to 8 edges in rows 16 wide, each row off by 2e-12 to 9e-10 either
+    # way; NumPy's pairwise sum of a dense row this wide adds the weights in
+    # another order than left to right
+    rng = np.random.default_rng(14)
+    n, m = 40, 4
+    lines = ["trep v1", f"users {n}", f"servers {m}", "alpha 0.15"]
+    for i in range(1, n + 1):
+        k = int(rng.integers(3, 9))
+        targets = np.sort(rng.choice(m + n, size=k, replace=False)) + 1
+        drift = rng.uniform(2e-12, 9e-10) * rng.choice([-1.0, 1.0])
+        weights = rng.dirichlet(np.ones(k)) * (1.0 + drift)
+        lines += [f"edge {i} {j} {w!r}" for j, w in zip(targets.tolist(), weights.tolist())]
+    path = tmp_path / "wide.trep"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    graph, _ = load(path)
+    *_, edges = load_oracle(path)
+    np.testing.assert_array_equal(graph.edges, edges)
 
 
 def test_load_rejects_dangling_user(tmp_path):
