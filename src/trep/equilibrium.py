@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import _check_trust, bipartite_utility, f1
-from .pagerank import tour_counts
-from .repgraph import Config, _profile_graph
+from .repgraph import Config
 from .rng import substream
 
 # Free servers (positive trust, no opponent mass) are captured by an
@@ -54,16 +53,23 @@ def truth_telling_profile(belief: np.ndarray, n: int) -> np.ndarray:
     return profile
 
 
-def hierarchy_profile(trust: np.ndarray, fresh_weights: np.ndarray) -> np.ndarray:
-    """The k established players (rows 0..k-1) endorse servers by N(trust);
-    fresh player k + i endorses established ones by row i of fresh_weights,
-    whose (n - k) x k shape fixes k and n."""
+def _check_hierarchy(trust: np.ndarray, fresh_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trust and fresh weights of a hierarchy as float arrays, or ValueError:
+    the weights must be a nonempty matrix of distributions."""
     ratings = _check_trust(trust)
     w = np.asarray(fresh_weights, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError(f"fresh_weights must be a nonempty matrix, got shape {w.shape}")
     if not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9)):
         raise ValueError("fresh_weights rows must be distributions")
+    return ratings, w
+
+
+def hierarchy_profile(trust: np.ndarray, fresh_weights: np.ndarray) -> np.ndarray:
+    """The k established players (rows 0..k-1) endorse servers by N(trust);
+    fresh player k + i endorses established ones by row i of fresh_weights,
+    whose (n - k) x k shape fixes k and n."""
+    ratings, w = _check_hierarchy(trust, fresh_weights)
     k, m = w.shape[1], ratings.size
     n = w.shape[0] + k
     profile = np.zeros((n, m + n))
@@ -225,53 +231,36 @@ def measure_epsilon_prime(
     return report
 
 
-def _server_only_reduction(
-    profile: np.ndarray, ratings: np.ndarray, k: int, cfg: Config
+def _hierarchy_reduction(
+    ratings: np.ndarray, weights: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit totals, effective opponent masses and probe utilities of the
-    established players (rows 0..k-1, which own no user edges), from one
-    tour_counts solve.
+    established players of hierarchy_profile(ratings, weights).
 
-    With N the fundamental matrix of tour_counts, v_t = sum_i N[i, t] counts
-    the visits to user t over all sources, and server j receives
-    (1 - alpha) sum_t v_t E_s[t, j] visits.  An established player p owns no
-    user edges, so N does not depend on p's server row x, and p's expected
-    utility is exactly bipartite_utility(x, b_p, R) / v_p with opponent mass
-    b_p = sum_{t != p} v_t E_s[t, :] / v_p.
+    Established rows endorse no users and fresh rows endorse only established
+    ones, so E_u^2 = 0 and the fundamental matrix of tour_counts is exactly
+    N = I + (1 - alpha) E_u: established player t gets v_t = 1 + (1 - alpha)
+    sum_i w[i, t] visits, and fresh players own no server mass.  N does not
+    depend on established player p's server row x, so p's expected utility is
+    bipartite_utility(x, b_p, R) / v_p, with b_p = (V - v_p) / v_p N(R) and
+    V = sum_t v_t.
 
-    p's probe row endorses servers by 0.8 N(R) and puts user mass d = 0.2
-    on the other established players (on p itself when k = 1).  Giving p the
-    user row d is a rank-one update of I - (1 - alpha) E_u, so, with r = d^T N
-    and q = (1 - alpha) / (1 - (1 - alpha) r_p) (Sherman & Morrison, 1950),
-    row p of the new N is N[p] + q N[p, p] r and its column sums are
-    v + q v_p r.  d sits on established players, whose rows of N are unit
-    rows, so r_p <= 0.2 and the denominator is at least 1 - 0.2 (1 - alpha).
-    The probe utility is then p's contribution shares, as in
-    expected_utilities, with row p of E_s swapped for 0.8 N(R).
+    p's probe row keeps 0.8 N(R) on the servers and puts user mass d = 0.2 on
+    the other established players (on p itself when k = 1): a rank-one update
+    of I - (1 - alpha) E_u on unit rows of N, so (Sherman & Morrison, 1950)
+    row p of the new N is e_p + q d and its column sums are v + q v_p d, with
+    q = (1 - alpha) / (1 - (1 - alpha) d_p).  Every endorsed server splits
+    its pot alike, so the probe utility is sum(R) own / (own v_p + V - v_p)
+    with own = 0.8 (1 + q d_p) + q (0.2 - d_p).
     """
-    graph = _profile_graph(profile)
-    n, m = graph.n, graph.m
-    keep = 1.0 - cfg.alpha
-    fundamental = tour_counts(graph, cfg)[:, m:]
-    visits = fundamental.sum(axis=0)
-    servers = graph.edges[:, :m]
-    masses = np.empty((k, m))
-    for player in range(k):
-        others = np.arange(n) != player
-        masses[player] = visits[others] @ servers[others] / visits[player]
-
-    probe_users = np.full((k, k), 0.2 / max(k - 1, 1))  # row p holds p's d
-    if k > 1:
-        np.fill_diagonal(probe_users, 0.0)
-    r = probe_users @ fundamental[:k]
-    q = keep / (1.0 - keep * r.diagonal())
-    rows = fundamental[:k] + (q * fundamental.diagonal()[:k])[:, None] * r
-    totals = visits + (q * visits[:k])[:, None] * r
-    swap = 0.8 * f1(ratings) - servers[:k]  # row p of E_s becomes 0.8 N(R)
-    own = rows @ servers + rows.diagonal()[:, None] * swap
-    pots = totals @ servers + totals.diagonal()[:, None] * swap
-    shares = np.divide(own, pots, out=np.zeros_like(own), where=pots > 0)
-    return visits[:k], masses, shares @ ratings
+    keep = 1.0 - alpha
+    visits = 1.0 + keep * weights.sum(axis=0)
+    others = visits.sum() - visits  # exactly 0 when k = 1: free servers
+    masses = (others / visits)[:, None] * f1(ratings)
+    self_mass = 0.2 if visits.size == 1 else 0.0  # d_p
+    q = keep / (1.0 - keep * self_mass)
+    own = 0.8 * (1.0 + q * self_mass) + q * (0.2 - self_mass)
+    return visits, masses, ratings.sum() * own / (own * visits + others)
 
 
 def hierarchy_best_response_gains(
@@ -279,24 +268,20 @@ def hierarchy_best_response_gains(
 ) -> np.ndarray:
     """Best-response gains of the established players in hierarchy_profile().
 
-    Everything comes from one _server_only_reduction, that is one tour_counts
-    solve: the base utility of the player's row N(R); the exact server-only
-    best response, which best_response_to_mass solves; and the utility of a
-    probe row that also endorses the other established players, exact
-    through a rank-one update of the fundamental matrix.  Other deviations
+    Everything comes from _hierarchy_reduction, with no graph and no solve:
+    the base utility of the player's row N(R); the exact server-only best
+    response, which best_response_to_mass solves; and the utility of a probe
+    row that also endorses the other established players.  Other deviations
     that endorse users are not searched, so that part of each gain is a
     lower bound.  At the proportional-to-trust profile all gains should
     vanish regardless of how the fresh players split their endorsements.
     """
     cfg = config or Config()
-    profile = hierarchy_profile(trust, fresh_weights)
-    ratings = np.asarray(trust, dtype=float)
-    k = np.shape(fresh_weights)[1]
+    ratings, weights = _check_hierarchy(trust, fresh_weights)
     nr = f1(ratings)
-    visits, masses, probe = _server_only_reduction(profile, ratings, k, cfg)
-    gains = np.zeros(k)
-    for player in range(k):
-        mass, visit = masses[player], visits[player]
+    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha)
+    gains = np.zeros(visits.size)
+    for player, (mass, visit) in enumerate(zip(masses, visits)):
         base = bipartite_utility(nr, mass, ratings) / visit
         response = best_response_to_mass(ratings, mass)
         best_utility = max(bipartite_utility(response, mass, ratings) / visit, probe[player])

@@ -180,6 +180,14 @@ def test_nash_hierarchy_mode(scenario, tmp_path, capsys):
         assert float(drift) <= 1e-9
 
 
+def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, count_calls):
+    # The gains need no graph; decode builds the draw's profile graph once.
+    graphs = count_calls("trep.repgraph", "_profile_graph")
+    args = ["nash", str(scenario), "--out", str(tmp_path / "out"), "--k", "2", "--trials", "10"]
+    assert main(args) == 0
+    assert len(graphs) == 10
+
+
 def test_noisy_csv_columns_and_determinism(scenario, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

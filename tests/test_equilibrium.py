@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trep import equilibrium, pagerank
 from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
-    _server_only_reduction,
+    _hierarchy_reduction,
     best_response_closed_form,
     best_response_to_mass,
     hierarchy_best_response_gains,
@@ -17,7 +16,8 @@ from trep.equilibrium import (
     verify_unique_nash,
 )
 from trep.game import bipartite_utility, expected_utilities
-from trep.repgraph import Config
+from trep.pagerank import tour_counts
+from trep.repgraph import Config, RepGraph
 
 from oracles import (
     best_response_by_enumeration,
@@ -298,8 +298,9 @@ def test_hierarchy_profile_takes_k_and_n_from_the_weight_shape(fresh, k):
     ids=["1-D", "negative", "row-sum-0.9"],
 )
 def test_hierarchy_profile_rejects_bad_weights(weights):
-    with pytest.raises(ValueError):
-        hierarchy_profile(np.array([0.6, 0.2]), weights)
+    for callee in (hierarchy_profile, hierarchy_best_response_gains):
+        with pytest.raises(ValueError):
+            callee(np.array([0.6, 0.2]), weights)
 
 
 def test_hierarchy_profile_checks_trust():
@@ -311,10 +312,11 @@ def test_hierarchy_profile_checks_trust():
 
 def test_hierarchy_k_bounds():
     trust = np.array([0.6, 0.2])
-    with pytest.raises(ValueError):
-        hierarchy_profile(trust, np.zeros((4, 0)))  # k = 0
-    with pytest.raises(ValueError):
-        hierarchy_profile(trust, np.zeros((0, 4)))  # k = n = 4
+    for callee in (hierarchy_profile, hierarchy_best_response_gains):
+        with pytest.raises(ValueError):
+            callee(trust, np.zeros((4, 0)))  # k = 0
+        with pytest.raises(ValueError):
+            callee(trust, np.zeros((0, 4)))  # k = n = 4
 
 
 def test_scenario_validation():
@@ -412,20 +414,14 @@ def test_hierarchy_single_established_player():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_hierarchy_gains_solve_tour_counts_once(k, monkeypatch):
-    solves = []
-    original = pagerank.tour_counts
-
-    def counting(graph, config):
-        solves.append(graph.n)
-        return original(graph, config)
-
-    monkeypatch.setattr(pagerank, "tour_counts", counting)
-    monkeypatch.setattr(equilibrium, "tour_counts", counting)
+def test_hierarchy_gains_build_no_graph_and_solve_nothing(k, count_calls):
+    solves = count_calls("trep.pagerank", "tour_counts")
+    profile_graphs = count_calls("trep.repgraph", "_profile_graph")
+    graphs = count_calls(RepGraph, "_fill")  # every RepGraph construction
     trust, n = np.array([0.6, 0.3, 0.1]), 5
     gains = hierarchy_best_response_gains(trust, np.full((n - k, k), 1 / k), CFG)
     assert np.all(gains <= 1e-8)
-    assert len(solves) == 1
+    assert solves == [] and profile_graphs == [] and graphs == []
 
 
 WEIGHT = st.floats(0.0, 1.0, allow_subnormal=False)
@@ -460,7 +456,7 @@ def test_server_only_reduction_matches_expected_utilities(case):
     trust, fresh_weights, cfg, rows = case
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    visits, masses, _ = _server_only_reduction(profile, trust, k, cfg)
+    visits, masses, _ = _hierarchy_reduction(trust, fresh_weights, cfg.alpha)
     for player in range(k):
 
         def utility(row):
@@ -478,15 +474,28 @@ def test_server_only_reduction_matches_expected_utilities(case):
 @settings(max_examples=60, deadline=None)
 @given(hierarchy_cases())
 def test_hierarchy_gains_match_the_per_player_loop(case):
-    # The probe rows come from one tour-count solve by a rank-one update of
-    # its fundamental matrix; the oracle scores each on its own profile.
+    # The probe rows come from a rank-one update of the closed-form
+    # fundamental matrix; the oracle scores each on its own profile.
     trust, fresh_weights, cfg, _ = case
     gains = hierarchy_best_response_gains(trust, fresh_weights, cfg)
     expected = hierarchy_gains_oracle(trust, fresh_weights, cfg)
     np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    _, _, probe = _server_only_reduction(profile, trust, k, cfg)
+    _, _, probe = _hierarchy_reduction(trust, fresh_weights, cfg.alpha)
     for player in range(k):
         trial = probe_profile(profile, player, k, m)
         assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(hierarchy_cases())
+def test_hierarchy_fundamental_matrix_is_one_step(case):
+    # The premise of _hierarchy_reduction: E_u^2 = 0, so N = I + (1 - alpha) E_u.
+    trust, fresh_weights, cfg, _ = case
+    profile = hierarchy_profile(trust, fresh_weights)
+    n, m = profile.shape[0], trust.size
+    users = profile[:, m:]
+    assert np.all(users @ users == 0.0)
+    fundamental = tour_counts(RepGraph(n=n, m=m, edges=profile), cfg)[:, m:]
+    np.testing.assert_allclose(fundamental, np.eye(n) + (1 - cfg.alpha) * users, rtol=0, atol=1e-12)
