@@ -7,8 +7,9 @@ then on, in every iteration.  A violation exposes the lexicographically first
 faulty committee member, which is excluded, and the whole schedule restarts
 with the survivors.  The schedule is long enough that every corrupted active
 server is observed at or after its fault round, so the surviving set equals
-the honest set exactly.  The final committee comes from the scores of the
-fixed endorsement profile, so it is picked once, not per run.
+the honest set exactly.  Each pass is computed in closed form, not stepped
+round by round (see `run_bootstrap`).  The final committee comes from the
+scores of the fixed endorsement profile, so it is picked once, not per run.
 """
 
 from __future__ import annotations
@@ -51,52 +52,84 @@ class RoundEvent:
 
 @dataclass(frozen=True)
 class BootstrapTrace:
-    """Complete record of one bootstrapping run."""
+    """Complete record of one bootstrapping run.
 
-    events: list[RoundEvent]
-    restarts: int
+    Each schedule pass is kept as (active servers, rounds run, culprit), the
+    culprit None on the final clean pass; `rounds` is their total.  The
+    round-by-round `events` are rebuilt from the passes on each read, so a
+    run whose log is never written builds none.
+    """
+
+    passes: tuple[tuple[tuple[int, ...], int, int | None], ...]
+    committee_size: int
+    rounds: int
     detected: tuple[int, ...]
     honest: np.ndarray
     final_outcome: np.ndarray
+
+    @property
+    def restarts(self) -> int:
+        return len(self.detected)
+
+    @property
+    def events(self) -> list[RoundEvent]:
+        size = self.committee_size
+        events = []
+        for active, rounds, culprit in self.passes:
+            blocks = math.ceil(len(active) / size)
+            for t in range(1, rounds + 1):
+                start = ((t - 1) % blocks) * size
+                committee = active[start : start + size]
+                events.append(RoundEvent(t, committee, culprit if t == rounds else None))
+        return events
 
 
 def run_bootstrap(
     trust: np.ndarray, bcfg: BootstrapConfig, rng: np.random.Generator
 ) -> BootstrapTrace:
-    """Probe servers in committees until a full schedule passes cleanly."""
+    """Probe servers in committees until a full schedule passes cleanly.
+
+    Each pass is found in closed form, in one scan of its active servers A
+    (ascending) with c = committee size and B = ceil(|A|/c) blocks.  Round t
+    probes block (t-1) mod B, so the server at position p of A is probed at
+    every round t = p//c + 1 (mod B), and a corrupted server j with fault
+    round f_j first misbehaves under probe at
+    t_j = f_j + ((p_j//c + 1 - f_j) mod B) <= lam + B - 1.  The pass ends at
+    T = min t_j, exposing the smallest j with t_j = T (the lexicographically
+    first faulty member of round T's committee); with no corrupted active
+    server it runs clean for lam + B - 1 rounds.
+    """
     m = np.asarray(trust).size
     if m < 2:
         raise ValueError(f"need at least 2 servers, got {m}")
-    if bcfg.committee_size > m:
-        raise ValueError(f"committee size {bcfg.committee_size} exceeds server count {m}")
+    size = bcfg.committee_size
+    if size > m:
+        raise ValueError(f"committee size {size} exceeds server count {m}")
     honest = sample_nature(trust, rng)
-    fault_round = rng.integers(1, bcfg.lam + 1, size=m)
-    excluded: set[int] = set()
-    events: list[RoundEvent] = []
-    restarts = 0
-    for _ in range(m + 1):
-        active = [j for j in range(m) if j not in excluded]
-        if not active:
+    fault_round = rng.integers(1, bcfg.lam + 1, size=m).tolist()
+    corrupted = set(np.flatnonzero(honest == 0).tolist())
+    active = list(range(m))
+    passes = []
+    detected = []
+    rounds = 0
+    while active:
+        blocks = math.ceil(len(active) / size)
+        end, culprit = bcfg.lam + blocks - 1, None  # a clean pass's length
+        for p, j in enumerate(active):
+            if j in corrupted:
+                f = fault_round[j]
+                t = f + (p // size + 1 - f) % blocks  # never past a clean pass
+                if culprit is None or t < end:
+                    end, culprit = t, j
+        passes.append((tuple(active), end, culprit))
+        rounds += end
+        if culprit is None:
             break
-        blocks = math.ceil(len(active) / bcfg.committee_size)
-        violated = False
-        for t in range(1, bcfg.lam + blocks):
-            start = ((t - 1) % blocks) * bcfg.committee_size
-            committee = tuple(active[start : start + bcfg.committee_size])
-            faulty = [j for j in committee if honest[j] == 0 and fault_round[j] <= t]
-            culprit = min(faulty) if faulty else None
-            events.append(RoundEvent(round=t, committee=committee, culprit=culprit))
-            if culprit is not None:
-                excluded.add(culprit)
-                restarts += 1
-                violated = True
-                break
-        if not violated:
-            break
-    else:
-        raise RuntimeError("bootstrap exceeded its restart budget; this is a bug")
-    outcome = np.array([0 if j in excluded else int(honest[j]) for j in range(m)])
-    return BootstrapTrace(events, restarts, tuple(sorted(excluded)), honest, outcome)
+        active.remove(culprit)
+        detected.append(culprit)
+    # Every corrupted server is detected, so the survivors are the honest ones
+    outcome = honest.copy()
+    return BootstrapTrace(tuple(passes), size, rounds, tuple(sorted(detected)), honest, outcome)
 
 
 def distribute_rewards(

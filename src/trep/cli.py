@@ -203,7 +203,7 @@ def cmd_bootstrap(args) -> int:
         majority, margin = honest_majority_check(committee, trace.honest)
         detected = ";".join(str(j + 1) for j in trace.detected) or "none"
         rows.append(
-            f"{trial},{trace.restarts},{len(trace.events)},{detected},"
+            f"{trial},{trace.restarts},{trace.rounds},{detected},"
             f"{'true' if majority else 'false'},{margin}"
         )
         restarts += trace.restarts

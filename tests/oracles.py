@@ -17,15 +17,20 @@ row its own profile and tour-count solve, where the package updates one
 solve by a rank-one term per probe row.  Row totals, for row violations and
 for renormalization, add each dense row's entries left to right in a loop,
 where `validate` and `load` take every total from one bincount over the edge
-list; adding a zero is exact, so the two agree bit for bit.
+list; adding a zero is exact, so the two agree bit for bit.  A bootstrap
+run is stepped round by round, polling every committee member in every
+round, where the package computes each schedule pass's first fault in
+closed form.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 
+from trep.bootstrap import RoundEvent
 from trep.equilibrium import best_response_to_mass, hierarchy_profile
-from trep.game import bipartite_utility, expected_utilities, f1
+from trep.game import bipartite_utility, expected_utilities, f1, sample_nature
 from trep.pagerank import StationaryDistribution, _check_stochastic, tour_counts
 from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, validate
 
@@ -445,3 +450,37 @@ def load_oracle(path):
     if violations:
         raise ValueError("; ".join(violations))
     return n, m, alpha, trust, edges
+
+
+def bootstrap_oracle(trust, bcfg, rng):
+    """One bootstrap run stepped round by round, with the same draws as
+    `run_bootstrap`: (events, restarts, detected, honest, final_outcome)."""
+    m = np.asarray(trust).size
+    honest = sample_nature(trust, rng)
+    fault_round = rng.integers(1, bcfg.lam + 1, size=m)
+    excluded: set[int] = set()
+    events: list[RoundEvent] = []
+    restarts = 0
+    for _ in range(m + 1):
+        active = [j for j in range(m) if j not in excluded]
+        if not active:
+            break
+        blocks = math.ceil(len(active) / bcfg.committee_size)
+        violated = False
+        for t in range(1, bcfg.lam + blocks):
+            start = ((t - 1) % blocks) * bcfg.committee_size
+            committee = tuple(active[start : start + bcfg.committee_size])
+            faulty = [j for j in committee if honest[j] == 0 and fault_round[j] <= t]
+            culprit = min(faulty) if faulty else None
+            events.append(RoundEvent(round=t, committee=committee, culprit=culprit))
+            if culprit is not None:
+                excluded.add(culprit)
+                restarts += 1
+                violated = True
+                break
+        if not violated:
+            break
+    else:
+        raise RuntimeError("bootstrap exceeded its restart budget; this is a bug")
+    outcome = np.array([0 if j in excluded else int(honest[j]) for j in range(m)])
+    return events, restarts, tuple(sorted(excluded)), honest, outcome

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trep.bootstrap import (
     BootstrapConfig,
@@ -12,6 +14,8 @@ from trep.bootstrap import (
 from trep.game import expected_utilities, realized_utilities
 from trep.repgraph import Config
 from trep.rng import substream
+
+from oracles import bootstrap_oracle
 
 CFG = Config()
 
@@ -111,6 +115,34 @@ def test_deterministic_given_stream():
     t2 = run_bootstrap(trust, bcfg, substream(59, "boot"))
     assert trace_event_log(t1) == trace_event_log(t2)
     np.testing.assert_array_equal(t1.final_outcome, t2.final_outcome)
+
+
+@st.composite
+def bootstrap_cases(draw):
+    m = draw(st.integers(2, 12))
+    trust = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=m, max_size=m
+    ))
+    assume(any(t > 0 for t in trust))
+    bcfg = BootstrapConfig(lam=draw(st.integers(1, 10)), committee_size=draw(st.integers(1, m)))
+    return np.array(trust), bcfg, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bootstrap_cases())
+def test_closed_form_passes_match_round_by_round_oracle(case):
+    trust, bcfg, seed = case
+    trace = run_bootstrap(trust, bcfg, substream(seed, "boot"))
+    events, restarts, detected, honest, outcome = bootstrap_oracle(
+        trust, bcfg, substream(seed, "boot")
+    )
+    assert trace.events == events
+    assert trace.rounds == len(events)
+    assert trace.restarts == restarts
+    assert trace.detected == detected
+    np.testing.assert_array_equal(trace.honest, honest)
+    np.testing.assert_array_equal(trace.final_outcome, outcome)
+    assert trace.final_outcome.dtype == outcome.dtype
 
 
 # ----------------------------------------------------------- committees

@@ -263,6 +263,15 @@ def test_bootstrap_scores_the_profile_once(scenario, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_bootstrap_builds_round_events_for_the_log_only(scenario, tmp_path, count_calls):
+    # Only trial 0's events are written; every other trial needs its round count.
+    events = count_calls("trep.bootstrap", "RoundEvent")
+    args = ["bootstrap", str(scenario), "--lambda", "4", "--committee", "2", "--trials", "10"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    log = (tmp_path / "bootstrap.log").read_text(encoding="utf-8")
+    assert len(events) == len(log.splitlines())
+
+
 def test_bootstrap_one_server_exits_2(tmp_path, capsys):
     path = tmp_path / "one.trep"
     path.write_text(ONE_SERVER, encoding="utf-8")
