@@ -9,8 +9,6 @@ and simulating committee-based bootstrapping.
 from .bootstrap import (
     BootstrapConfig,
     BootstrapTrace,
-    RoundEvent,
-    distribute_rewards,
     honest_majority_check,
     run_bootstrap,
     select_committee,
@@ -31,6 +29,7 @@ from .equilibrium import (
     EquilibriumReport,
     best_response_closed_form,
     best_response_to_mass,
+    epsilon_prime_bound,
     hierarchy_best_response_gains,
     hierarchy_profile,
     measure_epsilon_prime,
@@ -68,7 +67,6 @@ __all__ = [
     "NonConvergence",
     "ParseError",
     "RepGraph",
-    "RoundEvent",
     "StationaryDistribution",
     "best_response_closed_form",
     "best_response_to_mass",
@@ -78,7 +76,7 @@ __all__ = [
     "contribution_matrix",
     "count_inversions",
     "decode",
-    "distribute_rewards",
+    "epsilon_prime_bound",
     "expected_utilities",
     "f1",
     "f2_check",

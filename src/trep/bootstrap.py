@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import realized_utilities, sample_nature
-from .repgraph import Config
+from .game import sample_nature
 
 
 @dataclass(frozen=True)
@@ -38,26 +37,14 @@ class BootstrapConfig:
 
 
 @dataclass(frozen=True)
-class RoundEvent:
-    """One probing round: committee polled and the faulty member it exposed.
-
-    A culprit is the fault seen, the server detected and the cause of a
-    restart all at once; None means the round passed cleanly.
-    """
-
-    round: int
-    committee: tuple[int, ...]
-    culprit: int | None
-
-
-@dataclass(frozen=True)
 class BootstrapTrace:
     """Complete record of one bootstrapping run.
 
     Each schedule pass is kept as (active servers, rounds run, culprit), the
-    culprit None on the final clean pass; `rounds` is their total.  The
-    round-by-round `events` are rebuilt from the passes on each read, so a
-    run whose log is never written builds none.
+    culprit None on the final clean pass; `rounds` is their total.  Every
+    corrupted server is detected, so `honest`, nature's draw, is also the
+    set of surviving servers: their pots are the ones paid out, as
+    realized_utilities(profile, trace.honest, config).
     """
 
     passes: tuple[tuple[tuple[int, ...], int, int | None], ...]
@@ -65,23 +52,10 @@ class BootstrapTrace:
     rounds: int
     detected: tuple[int, ...]
     honest: np.ndarray
-    final_outcome: np.ndarray
 
     @property
     def restarts(self) -> int:
         return len(self.detected)
-
-    @property
-    def events(self) -> list[RoundEvent]:
-        size = self.committee_size
-        events = []
-        for active, rounds, culprit in self.passes:
-            blocks = math.ceil(len(active) / size)
-            for t in range(1, rounds + 1):
-                start = ((t - 1) % blocks) * size
-                committee = active[start : start + size]
-                events.append(RoundEvent(t, committee, culprit if t == rounds else None))
-        return events
 
 
 def run_bootstrap(
@@ -127,16 +101,7 @@ def run_bootstrap(
             break
         active.remove(culprit)
         detected.append(culprit)
-    # Every corrupted server is detected, so the survivors are the honest ones
-    outcome = honest.copy()
-    return BootstrapTrace(tuple(passes), size, rounds, tuple(sorted(detected)), honest, outcome)
-
-
-def distribute_rewards(
-    trace: BootstrapTrace, profile: np.ndarray, config: Config
-) -> np.ndarray:
-    """Pay every user its contribution share of the surviving servers' pots."""
-    return realized_utilities(profile, trace.final_outcome, config)
+    return BootstrapTrace(tuple(passes), size, rounds, tuple(sorted(detected)), honest)
 
 
 def select_committee(rho: np.ndarray, ell: int, fraction: float) -> list[int]:
@@ -168,14 +133,18 @@ def honest_majority_check(committee, honest) -> tuple[bool, int]:
 
 
 def trace_event_log(trace: BootstrapTrace) -> str:
-    """Render the round-by-round event log, one line per probing round."""
+    """Render the event log, one line per probing round: round t of a pass
+    probes block (t-1) mod B of its active servers, and only its last round
+    can expose a culprit."""
+    size = trace.committee_size
     lines = []
-    for event in trace.events:
-        committee = ",".join(str(j + 1) for j in event.committee)
-        if event.culprit is None:
+    for active, rounds, culprit in trace.passes:
+        blocks = math.ceil(len(active) / size)
+        for t in range(1, rounds + 1):
+            start = ((t - 1) % blocks) * size
+            committee = ",".join(str(j + 1) for j in active[start : start + size])
             outcome = "fault none detect none restart false"
-        else:
-            culprit = event.culprit + 1
-            outcome = f"fault {culprit} detect {culprit} restart true"
-        lines.append(f"round {event.round} committee {committee} {outcome}")
+            if t == rounds and culprit is not None:
+                outcome = f"fault {culprit + 1} detect {culprit + 1} restart true"
+            lines.append(f"round {t} committee {committee} {outcome}")
     return "\n".join(lines) + ("\n" if lines else "")

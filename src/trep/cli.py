@@ -19,6 +19,7 @@ from .bootstrap import (
 from .decoder import DecodeResult, decode, decode_graph, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
+    epsilon_prime_bound,
     hierarchy_best_response_gains,
     hierarchy_profile,
     measure_epsilon_prime,
@@ -167,12 +168,14 @@ def cmd_noisy(args) -> int:
     rows = []
     worst = 0.0
     for index, eps in enumerate(epsilons):
+        gains = []
         for trial in range(args.trials):
-            rng = substream(args.seed, "noisy", index, trial)
-            belief = noisy_belief_two_point(trust, eps, rng)
-            report = measure_epsilon_prime(trust, belief, n, eps)
-            worst = max(worst, report.epsilon_prime)
-            rows.append(f"{_fmt(eps)},{_fmt(report.epsilon_prime)},{_fmt(report.bound)}")
+            belief = noisy_belief_two_point(trust, eps, substream(args.seed, "noisy", index, trial))
+            gains.append(measure_epsilon_prime(trust, belief, n))
+        # Computed after the trials, so that their input errors are the ones reported
+        bound = _fmt(epsilon_prime_bound(trust.size, n, eps))
+        worst = max(worst, *gains)
+        rows.extend(f"{_fmt(eps)},{_fmt(gain)},{bound}" for gain in gains)
     _write_text(
         Path(args.out) / "noisy.csv", "epsilon,epsilon_prime,bound\n" + "\n".join(rows) + "\n"
     )

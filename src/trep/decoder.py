@@ -20,7 +20,7 @@ from .repgraph import Config, RepGraph, _profile_graph
 from .rng import substream
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeResult:
     """Decoded scores plus optional accuracy metrics against known trust."""
 

@@ -25,7 +25,7 @@ class DegenerateBelief(ValueError):
     """Trust and belief have disjoint support; the best response is undefined."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquilibriumReport:
     """Outcome of an equilibrium verification run.
 
@@ -35,9 +35,8 @@ class EquilibriumReport:
     epsilon_prime: float
     closed_form_deviation: float
     utility: float
-    expected_value: float | None = None
-    probe_min: float | None = None
-    bound: float | None = None
+    expected_value: float
+    probe_min: float
 
 
 def truth_telling_profile(belief: np.ndarray, n: int) -> np.ndarray:
@@ -143,12 +142,16 @@ def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> 
     return x / x.sum()
 
 
-def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> EquilibriumReport:
-    """Best unilateral gain when every player endorses the normalized belief.
+def _common_belief_defect(
+    ratings: np.ndarray, belief: np.ndarray, n: int
+) -> tuple[float, float, float]:
+    """Best unilateral gain when every player endorses the normalized belief,
+    the closed form's distance from the exact best response (NaN where it is
+    undefined), and the base utility of playing N(belief).
 
     Each player faces opponent mass (n - 1) N(belief); the gain is the exact
     best response's utility, or the closed form's when that is higher, over
-    the utility of playing N(belief).
+    the base.
     """
     nr_belief = f1(belief)
     mass = (n - 1) * nr_belief
@@ -164,12 +167,7 @@ def _common_belief_defect(ratings: np.ndarray, belief: np.ndarray, n: int) -> Eq
         deviation = float(np.max(np.abs(response - closed)))
         closed_utility = bipartite_utility(closed, mass, ratings)
         best_utility = max(best_utility, closed_utility)
-    return EquilibriumReport(
-        epsilon_prime=max(0.0, best_utility - base),
-        closed_form_deviation=deviation,
-        utility=base,
-        expected_value=ratings.sum() / n,
-    )
+    return max(0.0, best_utility - base), deviation, base
 
 
 def verify_unique_nash(
@@ -190,45 +188,41 @@ def verify_unique_nash(
         raise ValueError(f"need at least 2 players, got {n}")
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
-    report = _common_belief_defect(ratings, ratings, n)
+    gain, deviation, base = _common_belief_defect(ratings, ratings, n)
     nr = f1(ratings)
     rng = rng or substream(0, "nash-probes")
     probe_min = np.inf
     for _ in range(probes):
         opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
         probe_min = min(probe_min, bipartite_utility(nr, opponents, ratings))
-    report.probe_min = float(probe_min)
-    return report
+    return EquilibriumReport(gain, deviation, base, ratings.sum() / n, float(probe_min))
 
 
-def measure_epsilon_prime(
-    trust: np.ndarray, belief: np.ndarray, n: int, epsilon: float
-) -> EquilibriumReport:
-    """Equilibrium defect when all n players endorse the common noisy belief.
-
-    Reports the best unilateral gain over the truthful-belief profile and the
-    theoretical bound m^2 (n-1) / n^2 * (1+eps) / (1-eps).
-    """
+def measure_epsilon_prime(trust: np.ndarray, belief: np.ndarray, n: int) -> float:
+    """Equilibrium defect when all n players endorse the common noisy belief:
+    the best unilateral gain over the truthful-belief profile."""
     ratings = _check_trust(trust)
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    if not epsilon >= 0:  # negated so NaN is rejected
-        raise ValueError("epsilon must be nonnegative")
     belief = np.asarray(belief, dtype=float)
     if belief.shape != ratings.shape:
         raise ValueError("belief and trust must have the same shape")
     if not (np.all(belief >= 0) and np.any(belief > 0)):
         raise ValueError("belief must be nonnegative with positive mass")
-    m = ratings.size
-    report = _common_belief_defect(ratings, belief, n)
+    return _common_belief_defect(ratings, belief, n)[0]
+
+
+def epsilon_prime_bound(m: int, n: int, epsilon: float) -> float:
+    """The bound m^2 (n-1) / n^2 * (1+eps) / (1-eps) on measure_epsilon_prime
+    for beliefs within eps of trust; infinite once eps reaches 1."""
+    if n < 2:
+        raise ValueError(f"need at least 2 players, got {n}")
+    if not epsilon >= 0:  # negated so NaN is rejected
+        raise ValueError("epsilon must be nonnegative")
     bound = m * m * (n - 1) / n**2
     if epsilon > 0:
-        if epsilon >= 1:
-            bound = np.inf
-        else:
-            bound *= (1 + epsilon) / (1 - epsilon)
-    report.bound = float(bound)
-    return report
+        bound = np.inf if epsilon >= 1 else bound * ((1 + epsilon) / (1 - epsilon))
+    return float(bound)
 
 
 def _hierarchy_reduction(

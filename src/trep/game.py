@@ -18,9 +18,10 @@ def _check_trust(trust: np.ndarray) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
     if trust.ndim != 1 or trust.size == 0:
         raise ValueError("trust must be a nonempty vector")
-    if not np.all((trust >= 0) & (trust <= 1)):
+    lo, hi = trust.min(), trust.max()
+    if not (lo >= 0 and hi <= 1):  # negated so NaN is rejected
         raise ValueError("trust values must lie in [0, 1]")
-    if not np.any(trust > 0):
+    if not hi > 0:
         raise ValueError("trust has no positive entry")
     return trust
 

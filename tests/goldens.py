@@ -32,6 +32,17 @@ CASES = {
         ["bootstrap", "--seed", "7", "--trials", "50", "--lambda", "5", "--committee", "3"],
         ["bootstrap.csv", "bootstrap.log"],
     ),
+    "decode/criterion11": (["decode", "--seed", "5"], ["decode.csv"]),
+    "nash/criterion11": (["nash", "--seed", "5", "--trials", "25"], ["nash.csv"]),
+    # the hierarchy mode: two established players among six
+    "nash/hierarchy-k2": (["nash", "--k", "2", "--n", "6", "--trials", "20"], ["nash.csv"]),
+    "noisy/criterion11": (
+        [
+            "noisy", "--seed", "5", "--trials", "6",
+            "--epsilon", "0.005", "--epsilon", "0.01", "--delta", "0.05",
+        ],
+        ["noisy.csv", "f2.csv"],
+    ),
 }
 
 

@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from trep.bootstrap import RoundEvent
 from trep.equilibrium import best_response_to_mass, hierarchy_profile
 from trep.game import bipartite_utility, expected_utilities, f1, sample_nature
 from trep.pagerank import StationaryDistribution, _check_stochastic, tour_counts
@@ -454,12 +453,13 @@ def load_oracle(path):
 
 def bootstrap_oracle(trust, bcfg, rng):
     """One bootstrap run stepped round by round, with the same draws as
-    `run_bootstrap`: (events, restarts, detected, honest, final_outcome)."""
+    `run_bootstrap`: (event log, restarts, detected, honest, survivors), the
+    log rendered line by line as `trace_event_log` writes it."""
     m = np.asarray(trust).size
     honest = sample_nature(trust, rng)
     fault_round = rng.integers(1, bcfg.lam + 1, size=m)
     excluded: set[int] = set()
-    events: list[RoundEvent] = []
+    lines: list[str] = []
     restarts = 0
     for _ in range(m + 1):
         active = [j for j in range(m) if j not in excluded]
@@ -472,8 +472,12 @@ def bootstrap_oracle(trust, bcfg, rng):
             committee = tuple(active[start : start + bcfg.committee_size])
             faulty = [j for j in committee if honest[j] == 0 and fault_round[j] <= t]
             culprit = min(faulty) if faulty else None
-            events.append(RoundEvent(round=t, committee=committee, culprit=culprit))
-            if culprit is not None:
+            polled = ",".join(str(j + 1) for j in committee)
+            if culprit is None:
+                lines.append(f"round {t} committee {polled} fault none detect none restart false")
+            else:
+                c = culprit + 1
+                lines.append(f"round {t} committee {polled} fault {c} detect {c} restart true")
                 excluded.add(culprit)
                 restarts += 1
                 violated = True
@@ -482,5 +486,6 @@ def bootstrap_oracle(trust, bcfg, rng):
             break
     else:
         raise RuntimeError("bootstrap exceeded its restart budget; this is a bug")
-    outcome = np.array([0 if j in excluded else int(honest[j]) for j in range(m)])
-    return events, restarts, tuple(sorted(excluded)), honest, outcome
+    survivors = np.array([0 if j in excluded else int(honest[j]) for j in range(m)])
+    log = "".join(line + "\n" for line in lines)
+    return log, restarts, tuple(sorted(excluded)), honest, survivors

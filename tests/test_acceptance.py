@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from trep.bootstrap import BootstrapConfig, distribute_rewards, run_bootstrap, select_committee
+from trep.bootstrap import BootstrapConfig, run_bootstrap, select_committee
 from trep.cli import main
 from trep.decoder import (
     count_inversions,
@@ -18,11 +18,13 @@ from trep.decoder import (
     noisy_belief_two_point,
 )
 from trep.equilibrium import (
+    epsilon_prime_bound,
     hierarchy_best_response_gains,
     hierarchy_profile,
     measure_epsilon_prime,
     verify_unique_nash,
 )
+from trep.game import realized_utilities
 from trep.pagerank import (
     build_designated_chain,
     clique_chain,
@@ -180,11 +182,10 @@ def test_noisy_defect_within_theoretical_bound():
                 ratings = rng.uniform(0.2, 1.0, size=m)
                 eps = float(rng.uniform(0.0, 1.0 / (2 * n)))
                 belief = np.clip(ratings + rng.uniform(-eps, eps, size=m), 0.0, 1.0)
-                report = measure_epsilon_prime(ratings, belief, n, eps)
-                assert report.epsilon_prime <= report.bound
+                gain = measure_epsilon_prime(ratings, belief, n)
+                assert gain <= epsilon_prime_bound(m, n, eps)
             ratings = rng.uniform(0.2, 1.0, size=m)
-            exact = measure_epsilon_prime(ratings, ratings.copy(), n, 0.0)
-            assert exact.epsilon_prime <= 1e-8
+            assert measure_epsilon_prime(ratings, ratings.copy(), n) <= 1e-8
 
 
 F2_GRID = [(m, eps) for m in (5, 10, 20) for eps in (0.01, 0.02)]
@@ -277,13 +278,11 @@ def test_bootstrap_outcomes_match_trust_statistics():
         outcomes = np.empty((BOOT_RUNS, m), dtype=np.int64)
         for run in range(BOOT_RUNS):
             trace = run_bootstrap(trust, bcfg, substream(SEED, "boot", run))
-            outcomes[run] = trace.final_outcome
+            outcomes[run] = trace.honest
             # every user endorses the same server row, so each holds a 1/n
-            # share of every pot
-            rewards = distribute_rewards(trace, profile, CFG)
-            np.testing.assert_allclose(
-                rewards, trace.final_outcome.sum() / n, rtol=0, atol=1e-15
-            )
+            # share of every surviving pot
+            rewards = realized_utilities(profile, trace.honest, CFG)
+            np.testing.assert_allclose(rewards, trace.honest.sum() / n, rtol=0, atol=1e-15)
         empirical = outcomes.mean(axis=0)
         sigma = np.sqrt(trust * (1.0 - trust) / BOOT_RUNS)
         assert np.all(np.abs(empirical - trust) <= 3.0 * sigma), (

@@ -7,9 +7,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = {
     "AllServersUntrusted", "BootstrapConfig", "BootstrapTrace", "Config", "DecodeResult",
     "DegenerateBelief", "EquilibriumReport", "NonConvergence", "ParseError", "RepGraph",
-    "RoundEvent", "StationaryDistribution", "best_response_closed_form",
+    "StationaryDistribution", "best_response_closed_form",
     "best_response_to_mass", "bipartite_utility", "build_designated_chain", "clique_chain",
-    "contribution_matrix", "count_inversions", "decode", "distribute_rewards",
+    "contribution_matrix", "count_inversions", "decode", "epsilon_prime_bound",
     "expected_utilities", "f1", "f2_check", "hierarchy_best_response_gains",
     "hierarchy_profile", "hoeffding_check", "honest_majority_check", "load",
     "measure_epsilon_prime", "noisy_belief_gaussian", "noisy_belief_two_point",
@@ -28,7 +28,7 @@ def test_public_names_resolve():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 44
     assert set(trep.__all__) == PUBLIC
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from trep.bootstrap import (
     BootstrapConfig,
-    distribute_rewards,
     honest_majority_check,
     run_bootstrap,
     select_committee,
@@ -35,19 +34,20 @@ def test_all_honest_completes_without_restart():
     trace = run_bootstrap(np.ones(5), bcfg, substream(51, "boot"))
     assert trace.restarts == 0
     assert trace.detected == ()
-    np.testing.assert_array_equal(trace.final_outcome, np.ones(5, dtype=int))
+    np.testing.assert_array_equal(trace.honest, np.ones(5, dtype=int))
     # 5 nodes in committees of 2 -> 3 blocks; the schedule runs lam + blocks - 1
     # rounds so even a node that faults at round lam is observed afterwards
-    assert len(trace.events) == 6 + 3 - 1
-    assert all(e.culprit is None for e in trace.events)
+    lines = trace_event_log(trace).splitlines()
+    assert trace.rounds == len(lines) == 6 + 3 - 1
+    assert all(line.endswith(" fault none detect none restart false") for line in lines)
 
 
 def test_committee_blocks_cycle_lexicographically():
     bcfg = BootstrapConfig(lam=4, committee_size=2)
     trace = run_bootstrap(np.ones(5), bcfg, substream(52, "boot"))
-    committees = [e.committee for e in trace.events]
-    assert committees[:3] == [(0, 1), (2, 3), (4,)]
-    assert committees[3] == (0, 1)  # wraps around
+    committees = [line.split()[3] for line in trace_event_log(trace).splitlines()]
+    assert committees[:3] == ["1,2", "3,4", "5"]
+    assert committees[3] == "1,2"  # wraps around
 
 
 def test_zero_trust_server_is_detected_and_silenced():
@@ -55,24 +55,14 @@ def test_zero_trust_server_is_detected_and_silenced():
     trace = run_bootstrap([1.0, 0.0, 1.0], bcfg, substream(53, "boot"))
     assert trace.detected == (1,)
     assert trace.restarts == 1
-    np.testing.assert_array_equal(trace.final_outcome, [1, 0, 1])
-
-
-def test_outcome_equals_sampled_honesty():
-    # whenever every node is scheduled at or after its fault round, the final
-    # outcome must reproduce the sampled honesty vector exactly
-    trust = np.array([0.8, 0.5, 0.3, 0.9])
-    bcfg = BootstrapConfig(lam=5, committee_size=2)
-    for t in range(200):
-        trace = run_bootstrap(trust, bcfg, substream(54, "boot", t))
-        np.testing.assert_array_equal(trace.final_outcome, trace.honest)
+    np.testing.assert_array_equal(trace.honest, [1, 0, 1])
 
 
 def test_detection_is_lexicographic_within_committee():
     # both corrupted nodes sit in the first committee and fault immediately
     bcfg = BootstrapConfig(lam=1, committee_size=4)
     trace = run_bootstrap([0.0, 0.0, 1.0, 1.0], bcfg, substream(55, "boot"))
-    detects = [e.culprit for e in trace.events if e.culprit is not None]
+    detects = [culprit for _, _, culprit in trace.passes if culprit is not None]
     assert detects == [0, 1]
     assert trace.detected == (0, 1)
     assert trace.restarts == 2
@@ -89,22 +79,12 @@ def test_restart_count_grows_with_corruption():
     assert restarts([0.0, 0.0, 0.0, 1.0], 2) == 3
 
 
-def test_rewards_equal_realized_utilities():
-    trust = np.array([0.9, 0.1, 0.7])
-    profile = truthful_profile(trust, n=3)
-    bcfg = BootstrapConfig(lam=4, committee_size=2)
-    trace = run_bootstrap(trust, bcfg, substream(57, "boot"))
-    rewards = distribute_rewards(trace, profile, CFG)
-    expected = realized_utilities(profile, trace.final_outcome, CFG)
-    np.testing.assert_array_equal(rewards, expected)
-
-
 def test_all_honest_rewards_match_certain_utilities():
     trust = np.ones(3)
     profile = truthful_profile(trust, n=2)
     bcfg = BootstrapConfig(lam=2, committee_size=2)
     trace = run_bootstrap(trust, bcfg, substream(58, "boot"))
-    rewards = distribute_rewards(trace, profile, CFG)
+    rewards = realized_utilities(profile, trace.honest, CFG)
     np.testing.assert_allclose(rewards, expected_utilities(profile, trust, CFG), atol=1e-12)
 
 
@@ -114,7 +94,7 @@ def test_deterministic_given_stream():
     t1 = run_bootstrap(trust, bcfg, substream(59, "boot"))
     t2 = run_bootstrap(trust, bcfg, substream(59, "boot"))
     assert trace_event_log(t1) == trace_event_log(t2)
-    np.testing.assert_array_equal(t1.final_outcome, t2.final_outcome)
+    np.testing.assert_array_equal(t1.honest, t2.honest)
 
 
 @st.composite
@@ -133,16 +113,17 @@ def bootstrap_cases(draw):
 def test_closed_form_passes_match_round_by_round_oracle(case):
     trust, bcfg, seed = case
     trace = run_bootstrap(trust, bcfg, substream(seed, "boot"))
-    events, restarts, detected, honest, outcome = bootstrap_oracle(
+    log, restarts, detected, honest, survivors = bootstrap_oracle(
         trust, bcfg, substream(seed, "boot")
     )
-    assert trace.events == events
-    assert trace.rounds == len(events)
+    assert trace_event_log(trace) == log
+    assert trace.rounds == len(log.splitlines())
     assert trace.restarts == restarts
     assert trace.detected == detected
     np.testing.assert_array_equal(trace.honest, honest)
-    np.testing.assert_array_equal(trace.final_outcome, outcome)
-    assert trace.final_outcome.dtype == outcome.dtype
+    # every corrupted server is detected, so nature's draw is the survivor set
+    np.testing.assert_array_equal(trace.honest, survivors)
+    assert trace.honest.dtype == survivors.dtype
 
 
 # ----------------------------------------------------------- committees

@@ -263,13 +263,12 @@ def test_bootstrap_scores_the_profile_once(scenario, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_bootstrap_builds_round_events_for_the_log_only(scenario, tmp_path, count_calls):
-    # Only trial 0's events are written; every other trial needs its round count.
-    events = count_calls("trep.bootstrap", "RoundEvent")
+def test_bootstrap_renders_the_log_once(scenario, tmp_path, count_calls):
+    # Only trial 0's log is written; every other trial needs its round count.
+    renders = count_calls("trep.bootstrap", "trace_event_log")
     args = ["bootstrap", str(scenario), "--lambda", "4", "--committee", "2", "--trials", "10"]
     assert main(args + ["--out", str(tmp_path)]) == 0
-    log = (tmp_path / "bootstrap.log").read_text(encoding="utf-8")
-    assert len(events) == len(log.splitlines())
+    assert len(renders) == 1
 
 
 def test_bootstrap_one_server_exits_2(tmp_path, capsys):
@@ -322,6 +321,14 @@ def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "f2.csv").exists()
     assert not (tmp_path / "noisy.csv").exists()  # checked before the sweep runs
+
+
+@pytest.mark.parametrize("extra", [[], ["--delta", "0.05"]], ids=["sweep", "f2"])
+def test_noisy_nan_epsilon_exits_2(scenario, tmp_path, capsys, extra):
+    args = ["noisy", str(scenario), "--epsilon", "nan", "--trials", "2", "--out", str(tmp_path)]
+    assert main(args + extra) == 2
+    assert capsys.readouterr().err == "error: epsilon must be nonnegative\n"
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,12 @@ def test_f1_rejects_bad_input():
 
 
 # ----------------------------------------------------------------- decode
+
+def test_decode_result_is_frozen():
+    result = decode(truth_telling_profile(np.array([0.8, 0.4]), 3), trust=np.array([0.8, 0.4]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.inversions = 1
+
 
 def test_decode_equilibrium_profile_recovers_normalized_trust():
     trust = np.array([0.8, 0.2, 0.5])

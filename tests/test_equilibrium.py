@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from trep.equilibrium import (
     _hierarchy_reduction,
     best_response_closed_form,
     best_response_to_mass,
+    epsilon_prime_bound,
     hierarchy_best_response_gains,
     hierarchy_profile,
     measure_epsilon_prime,
@@ -250,6 +253,13 @@ def test_verify_unique_nash_deterministic():
     assert a.epsilon_prime == b.epsilon_prime
 
 
+def test_verify_unique_nash_report_is_built_once():
+    report = verify_unique_nash(np.array([0.9, 0.2, 0.5]), n=4, probes=5)
+    assert None not in dataclasses.astuple(report)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.probe_min = 0.0
+
+
 # -------------------------------------------------------- truth telling
 
 def test_truth_telling_perfect():
@@ -322,23 +332,24 @@ def test_hierarchy_k_bounds():
 def test_scenario_validation():
     trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        measure_epsilon_prime(trust, None, n=2, epsilon=0.0)  # missing belief
+        measure_epsilon_prime(trust, None, n=2)  # missing belief
     with pytest.raises(ValueError):
         truth_telling_profile(trust, n=1)
     with pytest.raises(ValueError):
         truth_telling_profile(np.ones((1, 2)), n=2)  # a row is not a belief vector
     with pytest.raises(ValueError):
-        measure_epsilon_prime(trust, trust, n=1, epsilon=0.0)
+        measure_epsilon_prime(trust, trust, n=1)
 
 
 def test_noisy_scenario_rejects_nan_belief_and_epsilon():
     trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
-        measure_epsilon_prime(trust, np.array([np.nan, 0.5]), n=2, epsilon=0.0)
+        measure_epsilon_prime(trust, np.array([np.nan, 0.5]), n=2)
     with pytest.raises(ValueError):
         truth_telling_profile(np.array([np.nan, 0.5]), n=2)
-    with pytest.raises(ValueError):
-        measure_epsilon_prime(trust, trust, n=2, epsilon=np.nan)
+    for eps in (np.nan, -0.01):
+        with pytest.raises(ValueError, match="^epsilon must be nonnegative$"):
+            epsilon_prime_bound(2, 2, eps)
 
 
 def test_hierarchy_scenario_rejects_nan_fresh_weights():
@@ -350,21 +361,20 @@ def test_hierarchy_scenario_rejects_nan_fresh_weights():
 
 def test_epsilon_prime_zero_noise():
     trust = np.array([0.7, 0.3, 0.5])
-    report = measure_epsilon_prime(trust, trust.copy(), n=4, epsilon=0.0)
-    assert report.epsilon_prime <= 1e-8
+    assert measure_epsilon_prime(trust, trust.copy(), n=4) <= 1e-8
 
 
 def test_epsilon_prime_against_grid_oracle():
     trust = np.array([0.8, 0.4])
     belief = np.array([0.85, 0.35])
     n = 4
-    report = measure_epsilon_prime(trust, belief, n, epsilon=0.05)
+    gain = measure_epsilon_prime(trust, belief, n)
     mass = (n - 1) * f1(belief)
     base = share_utility(f1(belief), mass, trust)
     x_grid = grid_best_response(trust, mass)
     gain_grid = max(0.0, share_utility(x_grid, mass, trust) - base)
-    assert report.epsilon_prime == pytest.approx(gain_grid, abs=1e-5)
-    assert report.epsilon_prime <= report.bound
+    assert gain == pytest.approx(gain_grid, abs=1e-5)
+    assert gain <= epsilon_prime_bound(trust.size, n, 0.05)
 
 
 def test_epsilon_prime_shrinks_with_noise():
@@ -372,18 +382,17 @@ def test_epsilon_prime_shrinks_with_noise():
     gains = []
     for eps in (0.05, 0.001):
         belief = trust + np.array([eps, -eps])
-        gains.append(measure_epsilon_prime(trust, belief, n=4, epsilon=eps).epsilon_prime)
+        gains.append(measure_epsilon_prime(trust, belief, n=4))
     assert gains[1] < gains[0]
     assert gains[1] <= 1e-4
 
 
 def test_epsilon_prime_bound_formula():
-    report = measure_epsilon_prime(
-        np.array([0.8, 0.4]), np.array([0.82, 0.38]), n=4, epsilon=0.02
-    )
     m, n, eps = 2, 4, 0.02
     expected = m * m * (n - 1) / n**2 * (1 + eps) / (1 - eps)
-    assert report.bound == pytest.approx(expected, rel=1e-12)
+    assert epsilon_prime_bound(m, n, eps) == pytest.approx(expected, rel=1e-12)
+    assert epsilon_prime_bound(m, n, 0.0) == m * m * (n - 1) / n**2
+    assert epsilon_prime_bound(m, n, 1.0) == np.inf
 
 
 # ------------------------------------------------------------- hierarchy

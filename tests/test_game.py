@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from trep.game import (
+    _check_trust,
     bipartite_utility,
     expected_utilities,
     realized_utilities,
@@ -49,6 +52,28 @@ def test_sample_nature_deterministic_per_stream():
 def test_sample_nature_rejects_bad_trust():
     with pytest.raises(ValueError):
         sample_nature(np.array([0.5, 1.5]), substream(0))
+
+
+@pytest.mark.parametrize(
+    "trust, message",
+    [
+        ([0.5, np.nan], "trust values must lie in [0, 1]"),
+        ([np.nan, np.nan], "trust values must lie in [0, 1]"),
+        ([0.5, np.inf], "trust values must lie in [0, 1]"),
+        ([-np.inf, 0.5], "trust values must lie in [0, 1]"),
+        ([0.5, -0.1], "trust values must lie in [0, 1]"),
+        ([1.5, 0.5], "trust values must lie in [0, 1]"),
+        ([0.0, 0.0], "trust has no positive entry"),
+        ([], "trust must be a nonempty vector"),
+        ([[0.5, 0.5]], "trust must be a nonempty vector"),
+        (0.5, "trust must be a nonempty vector"),
+    ],
+    ids=["nan", "all-nan", "inf", "-inf", "negative", "above-one", "all-zero",
+         "empty", "2-d", "scalar"],
+)
+def test_check_trust_rejects_each_bad_vector_with_its_message(trust, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _check_trust(trust)
 
 
 # ----------------------------------------------------------------- utilities
