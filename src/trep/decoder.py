@@ -72,7 +72,8 @@ def _check_noise_margin(trust: np.ndarray, epsilon: float) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
     if not epsilon >= 0:  # negated so NaN is rejected
         raise ValueError("epsilon must be nonnegative")
-    if not np.all((trust >= epsilon) & (trust <= 1.0 - epsilon)):  # negated so NaN is rejected
+    # min() and max() are NaN for a NaN entry, which fails both comparisons
+    if trust.size and not (trust.min() >= epsilon and trust.max() <= 1.0 - epsilon):
         raise ValueError(
             f"trust values within {epsilon} of 0 or 1 cannot take symmetric noise"
         )
@@ -153,7 +154,7 @@ def f2_check(
     for t in range(trials):
         belief = generator(trust, epsilon, rng)
         rho = decode(truth_telling_profile(belief, n), cfg).rho
-        errors[t] = np.max(np.abs(rho - nr))
+        errors[t] = np.abs(rho - nr).max()
     successes = int(np.count_nonzero(errors <= threshold))
     return {
         "empirical_prob": successes / trials,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import _check_trust, bipartite_utility, f1
+from .game import _bipartite_utility, _check_trust, f1
 from .repgraph import Config
 from .rng import substream
 
@@ -84,39 +84,50 @@ def best_response_to_mass(trust: np.ndarray, opponent_mass: np.ndarray) -> np.nd
     Sorted by decreasing R_j / b_j, the contested servers are active on a
     prefix (Boyd & Vandenberghe, Convex Optimization, 5.5.3): the longest
     prefix whose last server still gets a positive KKT share at that prefix's
-    water level.
+    water level.  Checks its inputs, then runs _waterfill.
     """
     ratings = np.asarray(trust, dtype=float)
     mass = np.asarray(opponent_mass, dtype=float)
     if ratings.shape != mass.shape or ratings.ndim != 1:
         raise ValueError("trust and opponent mass must be vectors of equal length")
-    if not (np.all(ratings >= 0) and np.all(mass >= 0)):
+    # min() >= 0 is false for a NaN as for a negative entry; an empty pair passes
+    if ratings.size and not (ratings.min() >= 0 and mass.min() >= 0):
         raise ValueError("trust and opponent mass must be nonnegative")
+    return _waterfill(ratings, mass)
+
+
+def _waterfill(ratings: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """best_response_to_mass on float vectors of one shape, both nonnegative."""
     m = ratings.size
     allocation = np.zeros(m)
-    free = (mass <= 0) & (ratings > 0)
-    allocation[free] = FREE_SERVER_STAKE
-    budget = 1.0 - FREE_SERVER_STAKE * int(free.sum())
-    contested = np.where((mass > 0) & (ratings > 0))[0]
+    supported = ratings > 0
+    free = supported & (mass <= 0)
+    free_count = int(np.count_nonzero(free))
+    budget = 1.0 - FREE_SERVER_STAKE * free_count
+    if free_count:
+        allocation[free] = FREE_SERVER_STAKE
+        contested = (supported & (mass > 0)).nonzero()[0]
+    else:  # every supported server holds opponent mass
+        contested = supported.nonzero()[0]
     if contested.size == 0:
-        if free.any():
-            allocation[free] += budget / int(free.sum())
+        if free_count:
+            allocation[free] += budget / free_count
         else:
             allocation += budget / m  # nothing is worth anything; split evenly
         return allocation
 
-    order = contested[np.argsort(-(ratings[contested] / mass[contested]), kind="stable")]
+    order = contested[(-(ratings[contested] / mass[contested])).argsort(kind="stable")]
+    opponents = mass[order]
     # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
-    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(mass[order])
-    sqrt_level = np.cumsum(sqrt_gain) / (budget + np.cumsum(mass[order]))
-    positive = np.flatnonzero(sqrt_gain / sqrt_level > mass[order])
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(opponents)
+    sqrt_level = sqrt_gain.cumsum() / (budget + opponents.cumsum())
+    positive = (sqrt_gain / sqrt_level > opponents).nonzero()[0]
     if positive.size == 0:  # the budget is below the rounding of b: no share registers
         allocation[order[0]] += budget
         return allocation
     size = positive[-1] + 1
-    active = order[:size]
-    spread = np.maximum(sqrt_gain[:size] / sqrt_level[size - 1] - mass[active], 0.0)
-    allocation[active] = spread * (budget / spread.sum())
+    spread = np.maximum(sqrt_gain[:size] / sqrt_level[size - 1] - opponents[:size], 0.0)
+    allocation[order[:size]] = spread * (budget / spread.sum())
     return allocation
 
 
@@ -132,18 +143,30 @@ def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> 
         raise ValueError("trust and belief must be vectors of equal length")
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
+    closed = _closed_form(ratings, belief, n)
+    if closed is None:
+        raise DegenerateBelief("trust and belief share no supported server")
+    return closed
+
+
+def _closed_form(
+    ratings: np.ndarray, belief: np.ndarray, n: int, mass: np.ndarray | None = None
+) -> np.ndarray | None:
+    """best_response_closed_form on float vectors of one shape, or None where
+    trust and belief share no supported server.  mass is the opponent mass
+    (n - 1) N(belief), computed here when not given."""
     # sqrt(R) * sqrt(R'), not sqrt(R * R'): the product can underflow to 0.
     cross = np.sqrt(ratings) * np.sqrt(belief)
     total = cross.sum()
     if total <= 0:
-        raise DegenerateBelief("trust and belief share no supported server")
-    x = n * cross / total - (n - 1) * f1(belief)
+        return None
+    x = n * cross / total - ((n - 1) * f1(belief) if mass is None else mass)
     x = np.maximum(x, 0.0)
     return x / x.sum()
 
 
 def _common_belief_defect(
-    ratings: np.ndarray, belief: np.ndarray, n: int
+    ratings: np.ndarray, belief: np.ndarray, nr_belief: np.ndarray, n: int
 ) -> tuple[float, float, float]:
     """Best unilateral gain when every player endorses the normalized belief,
     the closed form's distance from the exact best response (NaN where it is
@@ -151,22 +174,18 @@ def _common_belief_defect(
 
     Each player faces opponent mass (n - 1) N(belief); the gain is the exact
     best response's utility, or the closed form's when that is higher, over
-    the base.
+    the base.  The inputs are checked float vectors of one shape, belief
+    nonnegative with positive, finite mass and nr_belief = N(belief).
     """
-    nr_belief = f1(belief)
     mass = (n - 1) * nr_belief
-    base = bipartite_utility(nr_belief, mass, ratings)
-    response = best_response_to_mass(ratings, mass)
-    best_utility = bipartite_utility(response, mass, ratings)
+    base = _bipartite_utility(nr_belief, mass, ratings)
+    response = _waterfill(ratings, mass)
+    best_utility = _bipartite_utility(response, mass, ratings)
     deviation = np.nan
-    try:
-        closed = best_response_closed_form(ratings, belief, n)
-    except DegenerateBelief:
-        pass
-    else:
-        deviation = float(np.max(np.abs(response - closed)))
-        closed_utility = bipartite_utility(closed, mass, ratings)
-        best_utility = max(best_utility, closed_utility)
+    closed = _closed_form(ratings, belief, n, mass)
+    if closed is not None:
+        deviation = float(np.abs(response - closed).max())
+        best_utility = max(best_utility, _bipartite_utility(closed, mass, ratings))
     return max(0.0, best_utility - base), deviation, base
 
 
@@ -188,13 +207,13 @@ def verify_unique_nash(
         raise ValueError(f"need at least 2 players, got {n}")
     if probes < 1:
         raise ValueError(f"need at least one probe, got {probes}")
-    gain, deviation, base = _common_belief_defect(ratings, ratings, n)
     nr = f1(ratings)
+    gain, deviation, base = _common_belief_defect(ratings, ratings, nr, n)
     rng = rng or substream(0, "nash-probes")
     probe_min = np.inf
     for _ in range(probes):
         opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
-        probe_min = min(probe_min, bipartite_utility(nr, opponents, ratings))
+        probe_min = min(probe_min, _bipartite_utility(nr, opponents, ratings))
     return EquilibriumReport(gain, deviation, base, ratings.sum() / n, float(probe_min))
 
 
@@ -207,9 +226,15 @@ def measure_epsilon_prime(trust: np.ndarray, belief: np.ndarray, n: int) -> floa
     belief = np.asarray(belief, dtype=float)
     if belief.shape != ratings.shape:
         raise ValueError("belief and trust must have the same shape")
-    if not (np.all(belief >= 0) and np.any(belief > 0)):
+    # negated so NaN is rejected; before the sum, which warns on inf - inf
+    if not belief.min() >= 0:
         raise ValueError("belief must be nonnegative with positive mass")
-    return _common_belief_defect(ratings, belief, n)[0]
+    total = belief.sum()
+    if not total > 0:  # entries are nonnegative: a zero total means none is positive
+        raise ValueError("belief must be nonnegative with positive mass")
+    if not total < np.inf:  # f1's message
+        raise ValueError("cannot normalize a vector without positive, finite mass")
+    return _common_belief_defect(ratings, belief, belief / total, n)[0]
 
 
 def epsilon_prime_bound(m: int, n: int, epsilon: float) -> float:
@@ -276,8 +301,8 @@ def hierarchy_best_response_gains(
     visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha)
     gains = np.zeros(visits.size)
     for player, (mass, visit) in enumerate(zip(masses, visits)):
-        base = bipartite_utility(nr, mass, ratings) / visit
-        response = best_response_to_mass(ratings, mass)
-        best_utility = max(bipartite_utility(response, mass, ratings) / visit, probe[player])
+        base = _bipartite_utility(nr, mass, ratings) / visit
+        response = _waterfill(ratings, mass)
+        best_utility = max(_bipartite_utility(response, mass, ratings) / visit, probe[player])
         gains[player] = max(0.0, best_utility - base)
     return gains

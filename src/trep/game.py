@@ -33,7 +33,8 @@ def f1(utilities: np.ndarray) -> np.ndarray:
     equilibrium, which decoder imports, can normalize with it too.
     """
     utilities = np.asarray(utilities, dtype=float)
-    if np.any(utilities < 0):
+    # min() >= 0 is false for a NaN as for a negative entry; any() tells them apart
+    if utilities.size and not utilities.min() >= 0 and np.any(utilities < 0):
         raise ValueError("cannot normalize a vector with negative entries")
     total = utilities.sum()
     if not 0 < total < np.inf:  # negated so NaN is rejected
@@ -72,9 +73,15 @@ def bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndar
     endorsement shares: the player receives sum_j R_j x_j / (x_j + b_j),
     where empty pots (0/0) count as zero.
     """
-    own = np.asarray(own, dtype=float)
-    opponent_mass = np.asarray(opponent_mass, dtype=float)
-    trust = np.asarray(trust, dtype=float)
+    return _bipartite_utility(
+        np.asarray(own, dtype=float),
+        np.asarray(opponent_mass, dtype=float),
+        np.asarray(trust, dtype=float),
+    )
+
+
+def _bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndarray) -> float:
+    """bipartite_utility on float arrays."""
     totals = own + opponent_mass
-    shares = np.divide(own, totals, out=np.zeros_like(own), where=totals > 0)
+    shares = np.divide(own, totals, out=np.zeros(own.shape), where=totals > 0)
     return float(shares @ trust)

@@ -121,12 +121,18 @@ class _UserChain:
         to_user = cols >= m
         self.shape, self.src, self.dst = (n, n), rows[to_user], cols[to_user] - m
         self.follow = keep * weights[to_user]
-        server_mass = np.bincount(rows, np.where(to_user, 0.0, weights), n)
+        if self.src.size:
+            server_mass = np.bincount(rows, np.where(to_user, 0.0, weights), n)
+            start = 1.0 + np.bincount(self.dst, self.follow, n)
+            self.start = start / start.sum()
+        else:  # E_u = 0, as in every truth-telling profile: the same bits, fewer calls
+            server_mass = np.bincount(rows, weights, n)
+            self.start = np.full(n, 1.0 / n)
         self.jump = (config.alpha + keep * server_mass) / n
-        start = 1.0 + np.bincount(self.dst, self.follow, n)
-        self.start = start / start.sum()
 
     def __rmatmul__(self, pi: np.ndarray) -> np.ndarray:
+        if not self.src.size:  # the bincount below would be all zeros
+            return np.full(self.shape[0], pi.dot(self.jump))
         return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + pi.dot(self.jump)
 
 
@@ -144,9 +150,10 @@ def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
     pi = stationary(_UserChain(graph, config), config).pi
     n, m = graph.n, graph.m  # the bins from m on, user targets, are dropped
     received = np.bincount(graph.cols, graph.weights * pi[graph.rows], m + n)[:m]
-    if not np.any(received > 0):
+    total = received.sum()
+    if not total > 0:  # entries are nonnegative: a zero total means none is positive
         raise AllServersUntrusted("no server receives any endorsement mass")
-    return received / received.sum()
+    return received / total
 
 
 def tour_counts(graph: RepGraph, config: Config) -> np.ndarray:

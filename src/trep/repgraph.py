@@ -134,10 +134,10 @@ def validate(graph: RepGraph) -> list[str]:
     totals = np.bincount(rows, weights, minlength=n)
     accept = np.abs(totals - 1.0) <= ROW_SUM_TOL
     negative = None
-    if np.any(weights < 0):
+    if weights.size and not weights.min() >= 0:  # NaN too, which leaves negative all False
         negative = np.bincount(rows, weights < 0, minlength=n) > 0
         accept &= ~negative
-    for i in np.flatnonzero(~accept).tolist():  # NaN totals are not accepted either
+    for i in (~accept).nonzero()[0].tolist():  # NaN totals are not accepted either
         lo, hi = np.searchsorted(rows, [i, i + 1]).tolist()
         if lo == hi:  # stored weights are nonzero, so only an edgeless row is all zeros
             violations.append(f"row {i + 1} is all zeros: every user must endorse someone")

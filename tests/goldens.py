@@ -2,8 +2,9 @@
 tests/test_golden.py, and the script that rewrites them.
 
 Each case is a directory under tests/golden/<command>/ holding its scenario
-file (`scenario.trep`) and the outputs of the command run on it: `stdout.txt`
-and every file the command writes.  Regenerate all of them with
+file (`scenario.trep`) and the outputs of the command run on it:
+`stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
+writes, so a failing command is pinned too.  Regenerate all of them with
 
     PYTHONPATH=src python tests/goldens.py
 
@@ -21,43 +22,49 @@ from trep.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# case directory -> (arguments after the scenario, files the command writes)
+# case directory -> arguments after the scenario
 CASES = {
-    "bootstrap/criterion11": (
-        ["bootstrap", "--seed", "5", "--trials", "8", "--lambda", "4", "--committee", "2"],
-        ["bootstrap.csv", "bootstrap.log"],
-    ),
+    "bootstrap/criterion11": [
+        "bootstrap", "--seed", "5", "--trials", "8", "--lambda", "4", "--committee", "2",
+    ],
     # twelve distinct trust values, four below 0.2: many restarts per trial
-    "bootstrap/high-restart": (
-        ["bootstrap", "--seed", "7", "--trials", "50", "--lambda", "5", "--committee", "3"],
-        ["bootstrap.csv", "bootstrap.log"],
-    ),
-    "decode/criterion11": (["decode", "--seed", "5"], ["decode.csv"]),
-    "nash/criterion11": (["nash", "--seed", "5", "--trials", "25"], ["nash.csv"]),
+    "bootstrap/high-restart": [
+        "bootstrap", "--seed", "7", "--trials", "50", "--lambda", "5", "--committee", "3",
+    ],
+    "decode/criterion11": ["decode", "--seed", "5"],
+    # 200 users who put most of their mass on other users: many power steps
+    "decode/users200": ["decode"],
+    # every user endorses users only: AllServersUntrusted, exit 1
+    "decode/servers-untrusted": ["decode"],
+    "nash/criterion11": ["nash", "--seed", "5", "--trials", "25"],
     # the hierarchy mode: two established players among six
-    "nash/hierarchy-k2": (["nash", "--k", "2", "--n", "6", "--trials", "20"], ["nash.csv"]),
-    "noisy/criterion11": (
-        [
-            "noisy", "--seed", "5", "--trials", "6",
-            "--epsilon", "0.005", "--epsilon", "0.01", "--delta", "0.05",
-        ],
-        ["noisy.csv", "f2.csv"],
-    ),
+    "nash/hierarchy-k2": ["nash", "--k", "2", "--n", "6", "--trials", "20"],
+    "noisy/criterion11": [
+        "noisy", "--seed", "5", "--trials", "6",
+        "--epsilon", "0.005", "--epsilon", "0.01", "--delta", "0.05",
+    ],
+    # the default epsilon sweep and trial count
+    "noisy/default-sweep": ["noisy", "--delta", "0.05"],
+    # trust 0.8 lies within 0.3 of 1: the noise-margin check fails, exit 2
+    "noisy/noise-margin": ["noisy", "--epsilon", "0.3"],
 }
 
 
 def run_case(case: str) -> dict[str, bytes]:
-    """Run one case's command in-process; its stdout and written files by name."""
-    args, files = CASES[case]
+    """Run one case's command in-process: its stdout, stderr, exit code and
+    every file it wrote, by name."""
+    args = CASES[case]
     scenario = GOLDEN / case / "scenario.trep"
     with tempfile.TemporaryDirectory() as out:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main([args[0], str(scenario), *args[1:], "--out", out])
-        if code != 0:
-            raise RuntimeError(f"{case} exited {code}")
-        outputs = {"stdout.txt": stdout.getvalue().encode("utf-8")}
-        outputs.update((name, (Path(out) / name).read_bytes()) for name in files)
+        outputs = {
+            "stdout.txt": stdout.getvalue().encode("utf-8"),
+            "stderr.txt": stderr.getvalue().encode("utf-8"),
+            "exit_code.txt": f"{code}\n".encode("utf-8"),
+        }
+        outputs.update((path.name, path.read_bytes()) for path in sorted(Path(out).iterdir()))
     return outputs
 
 

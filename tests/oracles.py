@@ -20,7 +20,10 @@ where `validate` and `load` take every total from one bincount over the edge
 list; adding a zero is exact, so the two agree bit for bit.  A bootstrap
 run is stepped round by round, polling every committee member in every
 round, where the package computes each schedule pass's first fault in
-closed form.
+closed form.  The waterfill solver, the closed-form best response and the
+common-belief defect are kept verbatim as they stood before the package ran
+them as kernels behind one check per call, so the kernels can be held to
+them bit for bit.
 """
 
 import math
@@ -28,7 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from trep.equilibrium import best_response_to_mass, hierarchy_profile
+from trep.equilibrium import (
+    FREE_SERVER_STAKE,
+    DegenerateBelief,
+    _hierarchy_reduction,
+    best_response_to_mass,
+    hierarchy_profile,
+)
 from trep.game import bipartite_utility, expected_utilities, f1, sample_nature
 from trep.pagerank import StationaryDistribution, _check_stochastic, tour_counts
 from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, validate
@@ -184,6 +193,106 @@ def best_response_by_enumeration(trust, opponent_mass, stake=1e-12):
             best_utility = utility
             best = candidate
     return best
+
+
+def best_response_to_mass_reference(trust, opponent_mass):
+    """best_response_to_mass as it stood before the waterfill kernel, verbatim."""
+    ratings = np.asarray(trust, dtype=float)
+    mass = np.asarray(opponent_mass, dtype=float)
+    if ratings.shape != mass.shape or ratings.ndim != 1:
+        raise ValueError("trust and opponent mass must be vectors of equal length")
+    if not (np.all(ratings >= 0) and np.all(mass >= 0)):
+        raise ValueError("trust and opponent mass must be nonnegative")
+    m = ratings.size
+    allocation = np.zeros(m)
+    free = (mass <= 0) & (ratings > 0)
+    allocation[free] = FREE_SERVER_STAKE
+    budget = 1.0 - FREE_SERVER_STAKE * int(free.sum())
+    contested = np.where((mass > 0) & (ratings > 0))[0]
+    if contested.size == 0:
+        if free.any():
+            allocation[free] += budget / int(free.sum())
+        else:
+            allocation += budget / m  # nothing is worth anything; split evenly
+        return allocation
+
+    order = contested[np.argsort(-(ratings[contested] / mass[contested]), kind="stable")]
+    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(mass[order])
+    sqrt_level = np.cumsum(sqrt_gain) / (budget + np.cumsum(mass[order]))
+    positive = np.flatnonzero(sqrt_gain / sqrt_level > mass[order])
+    if positive.size == 0:  # the budget is below the rounding of b: no share registers
+        allocation[order[0]] += budget
+        return allocation
+    size = positive[-1] + 1
+    active = order[:size]
+    spread = np.maximum(sqrt_gain[:size] / sqrt_level[size - 1] - mass[active], 0.0)
+    allocation[active] = spread * (budget / spread.sum())
+    return allocation
+
+
+def best_response_closed_form_reference(trust, belief, n):
+    """best_response_closed_form as it stood before the kernels, verbatim."""
+    ratings = np.asarray(trust, dtype=float)
+    belief = np.asarray(belief, dtype=float)
+    if ratings.shape != belief.shape or ratings.ndim != 1:
+        raise ValueError("trust and belief must be vectors of equal length")
+    if n < 2:
+        raise ValueError(f"need at least 2 players, got {n}")
+    # sqrt(R) * sqrt(R'), not sqrt(R * R'): the product can underflow to 0.
+    cross = np.sqrt(ratings) * np.sqrt(belief)
+    total = cross.sum()
+    if total <= 0:
+        raise DegenerateBelief("trust and belief share no supported server")
+    x = n * cross / total - (n - 1) * f1(belief)
+    x = np.maximum(x, 0.0)
+    return x / x.sum()
+
+
+def bipartite_utility_reference(own, opponent_mass, trust):
+    """bipartite_utility as it stood before the utility kernel, verbatim."""
+    own = np.asarray(own, dtype=float)
+    opponent_mass = np.asarray(opponent_mass, dtype=float)
+    trust = np.asarray(trust, dtype=float)
+    totals = own + opponent_mass
+    shares = np.divide(own, totals, out=np.zeros_like(own), where=totals > 0)
+    return float(shares @ trust)
+
+
+def common_belief_defect_reference(ratings, belief, n):
+    """equilibrium._common_belief_defect as it stood before the kernels,
+    verbatim, on the references above: (gain, deviation, base)."""
+    nr_belief = f1(belief)
+    mass = (n - 1) * nr_belief
+    base = bipartite_utility_reference(nr_belief, mass, ratings)
+    response = best_response_to_mass_reference(ratings, mass)
+    best_utility = bipartite_utility_reference(response, mass, ratings)
+    deviation = np.nan
+    try:
+        closed = best_response_closed_form_reference(ratings, belief, n)
+    except DegenerateBelief:
+        pass
+    else:
+        deviation = float(np.max(np.abs(response - closed)))
+        closed_utility = bipartite_utility_reference(closed, mass, ratings)
+        best_utility = max(best_utility, closed_utility)
+    return max(0.0, best_utility - base), deviation, base
+
+
+def hierarchy_gains_reference(trust, fresh_weights, cfg):
+    """hierarchy_best_response_gains' per-player loop as it stood before the
+    kernels, verbatim, on the references above."""
+    ratings = np.asarray(trust, dtype=float)
+    weights = np.asarray(fresh_weights, dtype=float)
+    nr = f1(ratings)
+    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha)
+    gains = np.zeros(visits.size)
+    for player, (mass, visit) in enumerate(zip(masses, visits)):
+        base = bipartite_utility_reference(nr, mass, ratings) / visit
+        response = best_response_to_mass_reference(ratings, mass)
+        best_utility = max(bipartite_utility_reference(response, mass, ratings) / visit, probe[player])
+        gains[player] = max(0.0, best_utility - base)
+    return gains
 
 
 def best_response_numeric(profile, trust, player):

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
+    _common_belief_defect,
     _hierarchy_reduction,
     best_response_closed_form,
     best_response_to_mass,
@@ -25,8 +26,11 @@ from trep.repgraph import Config, RepGraph
 from oracles import (
     best_response_by_enumeration,
     best_response_numeric,
+    best_response_to_mass_reference,
+    common_belief_defect_reference,
     grid_best_response,
     hierarchy_gains_oracle,
+    hierarchy_gains_reference,
     pg_best_response,
     probe_profile,
     share_utility,
@@ -158,6 +162,107 @@ def test_best_response_matches_enumeration(case):
         left_out = contested & ~active
         ratio = np.sqrt(trust[left_out]) / np.sqrt(mass[left_out])
         assert np.all(ratio <= sqrt_level * (1 + 1e-12))
+
+
+# Entries for the bit-for-bit properties: exact zeros (worthless and free
+# servers), 1e-200 (whose products underflow), ordinary values, and opponent
+# masses from 1e-300 up to 1e20, which swamps the budget.
+TINY = 1e-200
+KERNEL_RATING = st.one_of(st.just(0.0), st.just(TINY), st.floats(0.0, 1.0))
+KERNEL_MASS = st.one_of(
+    st.just(0.0), st.just(TINY), st.just(1e20), st.floats(-300.0, 3.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def paired_vectors(draw, first, second):
+    """Two vectors of one length in 1..25, with ties in first / second: some
+    pairs repeat, some halved (exact unless subnormal)."""
+    pairs = draw(st.lists(st.tuples(first, second), min_size=1, max_size=25))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=25 - len(pairs)))
+    halve = draw(st.lists(st.booleans(), min_size=len(repeats), max_size=len(repeats)))
+    pairs += [(a / 2, b / 2) if h else (a, b) for (a, b), h in zip(repeats, halve)]
+    pairs = draw(st.permutations(pairs))
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+
+def same_bits(got, expected):
+    return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_vectors(KERNEL_RATING, KERNEL_MASS))
+@example((np.array([0.0, 0.0]), np.array([0.5, 0.3])))  # nothing is worth anything
+@example((np.array([0.5, 0.0]), np.array([0.0, 0.3])))  # free servers, nothing contested
+@example((np.array([0.5, 0.4, 0.2]), np.array([0.0, 0.3, 0.1])))  # free and contested
+@example((np.array([0.5, 1.0]), np.array([1e20, 1e20])))  # no share registers
+@example((np.array([1.0, 0.01]), np.array([0.1, 5.0])))  # a contested server left out
+@example((np.array([TINY, TINY]), np.array([TINY, TINY])))  # underflowing products
+@example((np.array([0.5, 0.25, 0.5]), np.array([0.2, 0.1, 0.2])))  # ties in R / b
+@example((np.array([0.7]), np.array([0.2])))
+def test_best_response_matches_the_reference_bit_for_bit(vectors):
+    trust, mass = vectors
+    got = best_response_to_mass(trust, mass)
+    assert same_bits(got, best_response_to_mass_reference(trust, mass))
+
+
+# No entry near the subnormals, where R_j / b_j overflows for both codes alike
+BELIEF = st.one_of(st.just(0.0), st.just(TINY), st.floats(-150.0, 0.3).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(paired_vectors(KERNEL_RATING, BELIEF), st.integers(2, 20))
+@example((np.array([0.5, 0.0]), np.array([0.0, 0.3])), 3)  # no shared support: no closed form
+@example((np.array([0.8, 0.4]), np.array([0.85, 0.0])), 4)  # a free server
+@example((np.array([0.8, TINY]), np.array([TINY, 0.35])), 2)  # underflowing products
+@example((np.array([0.8, 0.4, 0.4]), np.array([0.7, 0.5, 0.5])), 6)  # ties
+@example((np.array([0.9, 0.05, 0.05]), np.array([0.05, 0.9, 0.9])), 2)  # clamped closed form
+def test_common_belief_defect_matches_the_reference_bit_for_bit(vectors, n):
+    trust, belief = vectors
+    assume(trust.any() and belief.any())
+    gain, deviation, base = common_belief_defect_reference(trust, belief, n)
+    got = _common_belief_defect(trust, belief, f1(belief), n)
+    assert got[0] == gain and got[2] == base
+    assert got[1] == deviation or (np.isnan(got[1]) and np.isnan(deviation))
+    assert measure_epsilon_prime(trust, belief, n) == gain
+
+
+DYNAMICS_DISTANCE = 1e-12  # fixed before any run; never loosened to pass
+
+
+def test_best_response_dynamics_reach_proportional_endorsement():
+    """Gauss-Seidel best-response dynamics of the server-only game, from
+    random Dirichlet starts, reach N(R): each player in turn plays
+    best_response_to_mass against the others' summed rows, until no entry
+    moves by more than 1e-15.
+
+    The server-only game is a lottery contest on each server with one shared
+    budget per player.  Rosen's diagonal strict concavity holds strictly
+    wherever no server is held by a single player, and there it makes N(R)
+    the unique equilibrium; the dynamics check the waterfill solver against
+    it.  The bound goes slack where one player alone holds a server, where
+    the utility jumps at T_j = 0 (FREE_SERVER_STAKE); Dirichlet starts hold
+    every server by every player.  The full game, with user endorsements, is
+    not covered.
+    """
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for _ in range(40):
+        m, n = int(rng.integers(2, 11)), int(rng.integers(2, 13))
+        trust = rng.uniform(0.05, 1.0, size=m)
+        x = rng.dirichlet(np.ones(m), size=n)
+        for _ in range(2000):
+            moved = 0.0
+            for player in range(n):
+                row = best_response_to_mass(trust, np.delete(x, player, axis=0).sum(axis=0))
+                moved = max(moved, float(np.max(np.abs(row - x[player]))))
+                x[player] = row
+            if moved <= 1e-15:
+                break
+        assert moved <= 1e-15, f"no convergence at m={m}, n={n}"
+        worst = max(worst, float(np.max(np.abs(x - f1(trust)))))
+    print(f"worst distance from N(R): {worst:.3g}")
+    assert worst <= DYNAMICS_DISTANCE
 
 
 def test_best_response_starves_uncontested_server():
@@ -495,6 +600,14 @@ def test_hierarchy_gains_match_the_per_player_loop(case):
     for player in range(k):
         trial = probe_profile(profile, player, k, m)
         assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(hierarchy_cases())
+def test_hierarchy_gains_match_the_reference_bit_for_bit(case):
+    trust, fresh_weights, cfg, _ = case
+    got = hierarchy_best_response_gains(trust, fresh_weights, cfg)
+    assert same_bits(got, hierarchy_gains_reference(trust, fresh_weights, cfg))
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,9 +26,12 @@ def test_first_difference_names_the_line_and_both_bytes():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_bytes(case):
+    outputs = run_case(case)
+    pinned = sorted(path.name for path in (GOLDEN / case).iterdir() if path.name != "scenario.trep")
+    assert sorted(outputs) == pinned, "the command wrote other files than its golden holds"
     differences = [
         first_difference(f"{case}/{name}", data, (GOLDEN / case / name).read_bytes())
-        for name, data in run_case(case).items()
+        for name, data in outputs.items()
     ]
     differences = [d for d in differences if d is not None]
     assert not differences, "\n".join(differences)
