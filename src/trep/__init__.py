@@ -16,11 +16,11 @@ from .bootstrap import (
 )
 from .decoder import (
     DecodeResult,
+    F2Report,
     count_inversions,
     decode,
     f1,
     f2_check,
-    hoeffding_check,
     noisy_belief_gaussian,
     noisy_belief_two_point,
 )
@@ -64,6 +64,7 @@ __all__ = [
     "DecodeResult",
     "DegenerateBelief",
     "EquilibriumReport",
+    "F2Report",
     "NonConvergence",
     "ParseError",
     "RepGraph",
@@ -82,7 +83,6 @@ __all__ = [
     "f2_check",
     "hierarchy_best_response_gains",
     "hierarchy_profile",
-    "hoeffding_check",
     "honest_majority_check",
     "load",
     "measure_epsilon_prime",

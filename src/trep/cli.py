@@ -144,10 +144,10 @@ def cmd_noisy(args) -> int:
     epsilons = args.epsilon or list(DEFAULT_EPSILONS)
     # The f2 checks run first, so a bad --p or --delta fails before the sweep
     # writes noisy.csv; their "f2" streams are independent of the sweep's.
-    f2_rows, f2_lines = [], []
+    reports = []
     if args.delta is not None:
-        for index, eps in enumerate(epsilons):
-            report = f2_check(
+        reports = [
+            f2_check(
                 trust,
                 epsilon=eps,
                 p=args.p,
@@ -157,14 +157,8 @@ def cmd_noisy(args) -> int:
                 rng=substream(args.seed, "f2", index),
                 n=n,
             )
-            f2_rows.append(
-                f"{_fmt(eps)},{_fmt(report['empirical_prob'])},{_fmt(report['bound'])},"
-                f"{_fmt(report['q'])},{_fmt(report['threshold'])}"
-            )
-            f2_lines.append(
-                f"f2 eps {_fmt(eps)} empirical {_fmt(report['empirical_prob'])} "
-                f"bound {_fmt(report['bound'])}"
-            )
+            for index, eps in enumerate(epsilons)
+        ]
     rows = []
     worst = 0.0
     for index, eps in enumerate(epsilons):
@@ -181,7 +175,12 @@ def cmd_noisy(args) -> int:
     )
     print(f"epsilons {len(epsilons)} trials {args.trials} max_epsilon_prime {_fmt(worst)}")
     if args.delta is not None:
-        print("\n".join(f2_lines))
+        f2_rows = []
+        for eps, r in zip(epsilons, reports):
+            print(f"f2 eps {_fmt(eps)} empirical {_fmt(r.empirical_prob)} bound {_fmt(r.bound)}")
+            f2_rows.append(
+                f"{_fmt(eps)},{_fmt(r.empirical_prob)},{_fmt(r.bound)},{_fmt(r.q)},{_fmt(r.threshold)}"
+            )
         _write_text(
             Path(args.out) / "f2.csv",
             "epsilon,empirical_prob,bound,q,threshold\n" + "\n".join(f2_rows) + "\n",

@@ -70,10 +70,12 @@ def count_inversions(rho: np.ndarray, trust: np.ndarray) -> int:
 
 def _check_noise_margin(trust: np.ndarray, epsilon: float) -> np.ndarray:
     trust = np.asarray(trust, dtype=float)
+    if trust.ndim != 1 or trust.size == 0:
+        raise ValueError("trust must be a nonempty vector")
     if not epsilon >= 0:  # negated so NaN is rejected
         raise ValueError("epsilon must be nonnegative")
     # min() and max() are NaN for a NaN entry, which fails both comparisons
-    if trust.size and not (trust.min() >= epsilon and trust.max() <= 1.0 - epsilon):
+    if not (trust.min() >= epsilon and trust.max() <= 1.0 - epsilon):
         raise ValueError(
             f"trust values within {epsilon} of 0 or 1 cannot take symmetric noise"
         )
@@ -112,6 +114,19 @@ def noisy_belief_gaussian(
     return trust + noise
 
 
+@dataclass(frozen=True)
+class F2Report:
+    """Outcome of f2_check: how often the decoded scores stayed within the
+    threshold of normalized trust, against its lower bound, and how often the
+    belief mass drifted by delta or more, against its Hoeffding bound q."""
+
+    empirical_prob: float
+    bound: float
+    drift_prob: float
+    q: float
+    threshold: float
+
+
 def f2_check(
     trust: np.ndarray,
     epsilon: float,
@@ -122,7 +137,7 @@ def f2_check(
     rng: np.random.Generator | None = None,
     generator=noisy_belief_two_point,
     n: int = 6,
-) -> dict:
+) -> F2Report:
     """Empirical decodability of normalized trust under noisy common beliefs.
 
     For each trial a noisy belief is drawn, all players endorse its
@@ -130,8 +145,10 @@ def f2_check(
     trust in sup norm.  A trial succeeds if the error stays below the
     threshold (epsilon + delta * max N(R)) / (||R||_1 - delta), which holds
     whenever the belief is epsilon-accurate and its total mass drifted less
-    than delta.  The success probability is bounded below by 1 - m p - q with
-    q = exp(-delta^2 / (4 epsilon^2 m)).
+    than delta.  The success probability is bounded below by 1 - m p - q,
+    where q = exp(-delta^2 / (4 epsilon^2 m)) bounds the probability that
+    | ||R'||_1 - ||R||_1 | reaches delta (Hoeffding, 1963); the same beliefs
+    measure that drift too.
     """
     cfg = config or Config()
     trust = _check_trust(trust)
@@ -151,44 +168,12 @@ def f2_check(
     bound = max(0.0, 1.0 - m * p - q)
     rng = rng or substream(0, "f2")
     errors = np.empty(trials)
+    masses = np.empty(trials)
     for t in range(trials):
         belief = generator(trust, epsilon, rng)
+        masses[t] = belief.sum()
         rho = decode(truth_telling_profile(belief, n), cfg).rho
         errors[t] = np.abs(rho - nr).max()
     successes = int(np.count_nonzero(errors <= threshold))
-    return {
-        "empirical_prob": successes / trials,
-        "bound": bound,
-        "q": q,
-        "threshold": threshold,
-    }
-
-
-def hoeffding_check(
-    trust: np.ndarray,
-    epsilon: float,
-    delta: float,
-    trials: int,
-    rng: np.random.Generator | None = None,
-    generator=noisy_belief_two_point,
-) -> dict:
-    """Empirical tail of the belief-mass drift against its Hoeffding bound.
-
-    Measures how often |  ||R'||_1 - ||R||_1  | reaches delta; the bound is
-    q = exp(-delta^2 / (4 epsilon^2 m)).
-    """
-    trust = _check_trust(trust)
-    m = trust.size
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
-    rng = rng or substream(0, "hoeffding")
-    total = trust.sum()
-    hits = 0
-    for _ in range(trials):
-        belief = generator(trust, epsilon, rng)
-        if abs(belief.sum() - total) >= delta:
-            hits += 1
-    return {"empirical_prob": hits / trials, "q": q}
+    drifts = int(np.count_nonzero(np.abs(masses - total) >= delta))
+    return F2Report(successes / trials, bound, drifts / trials, q, threshold)

@@ -45,8 +45,6 @@ def truth_telling_profile(belief: np.ndarray, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
     nr = f1(belief)
-    if nr.ndim != 1:
-        raise ValueError("belief must be a vector")
     profile = np.zeros((n, nr.size + n))
     profile[:, : nr.size] = nr
     return profile
@@ -90,10 +88,15 @@ def best_response_to_mass(trust: np.ndarray, opponent_mass: np.ndarray) -> np.nd
     mass = np.asarray(opponent_mass, dtype=float)
     if ratings.shape != mass.shape or ratings.ndim != 1:
         raise ValueError("trust and opponent mass must be vectors of equal length")
-    # min() >= 0 is false for a NaN as for a negative entry; an empty pair passes
-    if ratings.size and not (ratings.min() >= 0 and mass.min() >= 0):
-        raise ValueError("trust and opponent mass must be nonnegative")
+    if ratings.size and not _finite_nonnegative(ratings, mass):  # an empty pair passes
+        raise ValueError("trust and opponent mass must be finite and nonnegative")
     return _waterfill(ratings, mass)
+
+
+def _finite_nonnegative(*vectors: np.ndarray) -> bool:
+    """Whether every entry of the nonempty vectors lies in [0, inf); min() >= 0
+    is false for a NaN as for a negative entry."""
+    return all(v.min() >= 0 and v.max() < np.inf for v in vectors)
 
 
 def _waterfill(ratings: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -141,6 +144,8 @@ def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> 
     belief = np.asarray(belief, dtype=float)
     if ratings.shape != belief.shape or ratings.ndim != 1:
         raise ValueError("trust and belief must be vectors of equal length")
+    if ratings.size and not _finite_nonnegative(ratings, belief):  # an empty pair is degenerate
+        raise ValueError("trust and belief must be finite and nonnegative")
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
     closed = _closed_form(ratings, belief, n)

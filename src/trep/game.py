@@ -33,8 +33,10 @@ def f1(utilities: np.ndarray) -> np.ndarray:
     equilibrium, which decoder imports, can normalize with it too.
     """
     utilities = np.asarray(utilities, dtype=float)
+    if utilities.ndim != 1 or utilities.size == 0:
+        raise ValueError("cannot normalize anything but a nonempty vector")
     # min() >= 0 is false for a NaN as for a negative entry; any() tells them apart
-    if utilities.size and not utilities.min() >= 0 and np.any(utilities < 0):
+    if not utilities.min() >= 0 and np.any(utilities < 0):
         raise ValueError("cannot normalize a vector with negative entries")
     total = utilities.sum()
     if not 0 < total < np.inf:  # negated so NaN is rejected

@@ -47,6 +47,13 @@ CASES = {
     "noisy/default-sweep": ["noisy", "--delta", "0.05"],
     # trust 0.8 lies within 0.3 of 1: the noise-margin check fails, exit 2
     "noisy/noise-margin": ["noisy", "--epsilon", "0.3"],
+    # a per-entry failure probability above zero lowers the f2 bound by m p
+    "noisy/f2-p": [
+        "noisy", "--seed", "5", "--trials", "20",
+        "--epsilon", "0.01", "--delta", "0.05", "--p", "0.05",
+    ],
+    # delta beyond ||trust||_1 = 1.2: the f2 check fails before any file, exit 2
+    "noisy/delta-too-large": ["noisy", "--delta", "5"],
 }
 
 

@@ -23,7 +23,9 @@ round, where the package computes each schedule pass's first fault in
 closed form.  The waterfill solver, the closed-form best response and the
 common-belief defect are kept verbatim as they stood before the package ran
 them as kernels behind one check per call, so the kernels can be held to
-them bit for bit.
+them bit for bit.  The belief-mass drift is counted by the separate trial
+loop that measured it before f2_check counted it from the beliefs it
+decodes.
 """
 
 import math
@@ -31,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from trep.decoder import noisy_belief_two_point
 from trep.equilibrium import (
     FREE_SERVER_STAKE,
     DegenerateBelief,
@@ -38,9 +41,10 @@ from trep.equilibrium import (
     best_response_to_mass,
     hierarchy_profile,
 )
-from trep.game import bipartite_utility, expected_utilities, f1, sample_nature
+from trep.game import _check_trust, bipartite_utility, expected_utilities, f1, sample_nature
 from trep.pagerank import StationaryDistribution, _check_stochastic, tour_counts
 from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, validate
+from trep.rng import substream
 
 ORACLE_MAX_STATES = 200
 
@@ -293,6 +297,39 @@ def hierarchy_gains_reference(trust, fresh_weights, cfg):
         best_utility = max(bipartite_utility_reference(response, mass, ratings) / visit, probe[player])
         gains[player] = max(0.0, best_utility - base)
     return gains
+
+
+def hoeffding_check_reference(
+    trust: np.ndarray,
+    epsilon: float,
+    delta: float,
+    trials: int,
+    rng: np.random.Generator | None = None,
+    generator=noisy_belief_two_point,
+) -> dict:
+    """Empirical tail of the belief-mass drift against its Hoeffding bound.
+
+    Measures how often |  ||R'||_1 - ||R||_1  | reaches delta; the bound is
+    q = exp(-delta^2 / (4 epsilon^2 m)).
+
+    trep.decoder.hoeffding_check as it stood before f2_check counted the
+    drift, verbatim.
+    """
+    trust = _check_trust(trust)
+    m = trust.size
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
+    rng = rng or substream(0, "hoeffding")
+    total = trust.sum()
+    hits = 0
+    for _ in range(trials):
+        belief = generator(trust, epsilon, rng)
+        if abs(belief.sum() - total) >= delta:
+            hits += 1
+    return {"empirical_prob": hits / trials, "q": q}
 
 
 def best_response_numeric(profile, trust, player):

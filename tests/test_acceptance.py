@@ -13,7 +13,6 @@ from trep.decoder import (
     count_inversions,
     decode,
     f2_check,
-    hoeffding_check,
     noisy_belief_gaussian,
     noisy_belief_two_point,
 )
@@ -199,62 +198,55 @@ def noisy_trust_vectors():
     return {m: rng.uniform(0.1, 0.9, size=m) for m in (5, 10, 20)}
 
 
-def test_noisy_decode_success_rate_beats_bound(noisy_trust_vectors):
+@pytest.fixture(scope="module")
+def f2_cells(noisy_trust_vectors):
+    """(tag, m, eps) -> (seconds, F2Report) of each f2_check call on the grid;
+    criteria 8 and 9 read the two halves of the same draws."""
+    cells = {}
+    for generator, tag in (
+        (noisy_belief_two_point, "two-point"),
+        (noisy_belief_gaussian, "gaussian"),
+    ):
+        for index, (m, eps) in enumerate(F2_GRID):
+            started = time.perf_counter()
+            report = f2_check(
+                noisy_trust_vectors[m],
+                epsilon=eps,
+                p=0.0,
+                delta=F2_DELTA,
+                trials=F2_TRIALS,
+                config=CFG,
+                rng=substream(SEED, "f2", tag, index),
+                generator=generator,
+            )
+            cells[tag, m, eps] = (time.perf_counter() - started, report)
+    return cells
+
+
+def test_noisy_decode_success_rate_beats_bound(f2_cells):
     with criterion(
         8,
         "decode error under noisy beliefs stays below the slack threshold at a "
         "rate of at least 1 - m p - q (10^4 trials per cell, < 5 min each)",
     ):
-        for generator, tag in (
-            (noisy_belief_two_point, "two-point"),
-            (noisy_belief_gaussian, "gaussian"),
-        ):
-            for index, (m, eps) in enumerate(F2_GRID):
-                trust = noisy_trust_vectors[m]
-                started = time.perf_counter()
-                report = f2_check(
-                    trust,
-                    epsilon=eps,
-                    p=0.0,
-                    delta=F2_DELTA,
-                    trials=F2_TRIALS,
-                    config=CFG,
-                    rng=substream(SEED, "f2", tag, index),
-                    generator=generator,
-                )
-                elapsed = time.perf_counter() - started
-                assert elapsed < 300.0, f"cell ({tag}, m={m}, eps={eps}) took {elapsed:.1f} s"
-                assert report["empirical_prob"] >= report["bound"], (
-                    f"cell ({tag}, m={m}, eps={eps}): "
-                    f"{report['empirical_prob']:.4f} < {report['bound']:.4f}"
-                )
+        for (tag, m, eps), (elapsed, report) in f2_cells.items():
+            assert elapsed < 300.0, f"cell ({tag}, m={m}, eps={eps}) took {elapsed:.1f} s"
+            assert report.empirical_prob >= report.bound, (
+                f"cell ({tag}, m={m}, eps={eps}): "
+                f"{report.empirical_prob:.4f} < {report.bound:.4f}"
+            )
 
 
-def test_belief_mass_drift_within_hoeffding_bound():
+def test_belief_mass_drift_within_hoeffding_bound(f2_cells):
     with criterion(
         9,
         "belief-mass drift reaches delta no more often than exp(-delta^2/(4 eps^2 m)) "
         "on the same grid",
     ):
-        rng_vectors = substream(SEED, "f2-trust")
-        trust_vectors = {m: rng_vectors.uniform(0.1, 0.9, size=m) for m in (5, 10, 20)}
-        for generator, tag in (
-            (noisy_belief_two_point, "two-point"),
-            (noisy_belief_gaussian, "gaussian"),
-        ):
-            for index, (m, eps) in enumerate(F2_GRID):
-                report = hoeffding_check(
-                    trust_vectors[m],
-                    epsilon=eps,
-                    delta=F2_DELTA,
-                    trials=F2_TRIALS,
-                    rng=substream(SEED, "f2", tag, index),
-                    generator=generator,
-                )
-                assert report["empirical_prob"] <= report["q"], (
-                    f"cell ({tag}, m={m}, eps={eps}): "
-                    f"{report['empirical_prob']:.4f} > {report['q']:.4f}"
-                )
+        for (tag, m, eps), (_, report) in f2_cells.items():
+            assert report.drift_prob <= report.q, (
+                f"cell ({tag}, m={m}, eps={eps}): {report.drift_prob:.4f} > {report.q:.4f}"
+            )
 
 
 BOOT_RUNS = 10_000

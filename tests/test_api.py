@@ -6,12 +6,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "AllServersUntrusted", "BootstrapConfig", "BootstrapTrace", "Config", "DecodeResult",
-    "DegenerateBelief", "EquilibriumReport", "NonConvergence", "ParseError", "RepGraph",
+    "DegenerateBelief", "EquilibriumReport", "F2Report", "NonConvergence", "ParseError", "RepGraph",
     "StationaryDistribution", "best_response_closed_form",
     "best_response_to_mass", "bipartite_utility", "build_designated_chain", "clique_chain",
     "contribution_matrix", "count_inversions", "decode", "epsilon_prime_bound",
     "expected_utilities", "f1", "f2_check", "hierarchy_best_response_gains",
-    "hierarchy_profile", "hoeffding_check", "honest_majority_check", "load",
+    "hierarchy_profile", "honest_majority_check", "load",
     "measure_epsilon_prime", "noisy_belief_gaussian", "noisy_belief_two_point",
     "realized_utilities", "reputation_scores", "run_bootstrap", "sample_nature", "save",
     "select_committee", "stationary", "substream", "tour_counts", "trace_event_log",

@@ -10,7 +10,6 @@ from trep.decoder import (
     decode,
     f1,
     f2_check,
-    hoeffding_check,
     noisy_belief_gaussian,
     noisy_belief_two_point,
 )
@@ -19,7 +18,7 @@ from trep.equilibrium import hierarchy_profile, truth_telling_profile
 from trep.repgraph import Config
 from trep.rng import substream
 
-from oracles import count_inversions_pairwise
+from oracles import count_inversions_pairwise, hoeffding_check_reference
 
 CFG = Config()
 
@@ -183,20 +182,20 @@ def test_generators_reject_nan_epsilon():
         noisy_belief_gaussian(np.array([0.4, 0.6]), np.nan, rng)
 
 
-def test_generators_and_hoeffding_check_reject_nan_trust():
+def test_generators_and_f2_check_reject_nan_trust():
     trust = np.array([np.nan, 0.5])
     for generator in (noisy_belief_two_point, noisy_belief_gaussian):
         with pytest.raises(ValueError, match="symmetric noise"):
             generator(trust, 0.01, substream(43))
         with pytest.raises(ValueError, match=r"trust values must lie in \[0, 1\]"):
-            hoeffding_check(trust, epsilon=0.01, delta=0.05, trials=10, generator=generator)
+            f2_check(trust, epsilon=0.01, p=0.0, delta=0.05, trials=10, generator=generator)
 
 
 @pytest.mark.parametrize("trust", [[], [[0.5, 0.5]]])
-def test_hoeffding_check_rejects_trust_that_is_not_a_nonempty_vector(trust):
-    # as f2_check does: an empty trust divided by zero in q, a matrix passed
+def test_f2_check_rejects_trust_that_is_not_a_nonempty_vector(trust):
+    # an empty trust would divide by zero in q, and a matrix would pass
     with pytest.raises(ValueError, match="trust must be a nonempty vector"):
-        hoeffding_check(trust, epsilon=0.01, delta=0.05, trials=10)
+        f2_check(trust, epsilon=0.01, p=0.0, delta=0.05, trials=10)
 
 
 def test_zero_noise_returns_trust():
@@ -219,11 +218,11 @@ def test_f2_check_small_sweep_beats_bound():
         config=CFG,
         rng=substream(45, "f2"),
     )
-    assert report["bound"] == pytest.approx(1 - np.exp(-(0.05**2) / (4 * 0.02**2 * 5)))
-    assert report["empirical_prob"] >= report["bound"]
+    assert report.bound == pytest.approx(1 - np.exp(-(0.05**2) / (4 * 0.02**2 * 5)))
+    assert report.empirical_prob >= report.bound
     nr = trust / trust.sum()
     expected_threshold = (0.02 + 0.05 * nr.max()) / (trust.sum() - 0.05)
-    assert report["threshold"] == pytest.approx(expected_threshold, rel=1e-12)
+    assert report.threshold == pytest.approx(expected_threshold, rel=1e-12)
 
 
 def test_f2_check_zero_noise_always_succeeds():
@@ -231,27 +230,52 @@ def test_f2_check_zero_noise_always_succeeds():
     report = f2_check(
         trust, epsilon=0.0, p=0.0, delta=0.05, trials=50, config=CFG, rng=substream(46, "f2")
     )
-    assert report["empirical_prob"] == 1.0
-    assert report["q"] == 0.0
+    assert report.empirical_prob == 1.0
+    assert report.drift_prob == 0.0
+    assert report.q == 0.0
+
+
+def test_f2_check_is_frozen():
+    report = f2_check(np.array([0.5, 0.3]), epsilon=0.02, p=0.0, delta=0.05, trials=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.q = 1.0
+
+
+@pytest.mark.parametrize("generator", [noisy_belief_two_point, noisy_belief_gaussian])
+@pytest.mark.parametrize("epsilon", [0.0, 0.01, 0.02])
+def test_drift_prob_matches_the_separate_drift_loop_bit_for_bit(generator, epsilon):
+    trust = np.array([0.5, 0.3, 0.7, 0.4, 0.6])
+    report = f2_check(
+        trust, epsilon=epsilon, p=0.0, delta=0.05, trials=400, config=CFG,
+        rng=substream(48, "drift"), generator=generator,
+    )
+    reference = hoeffding_check_reference(
+        trust, epsilon=epsilon, delta=0.05, trials=400, rng=substream(48, "drift"),
+        generator=generator,
+    )
+    assert report.drift_prob == reference["empirical_prob"]
+    assert report.q == reference["q"]
 
 
 def test_hoeffding_tail_within_bound():
     trust = np.array([0.5, 0.3, 0.7, 0.4, 0.6])
-    report = hoeffding_check(
-        trust, epsilon=0.02, delta=0.05, trials=500, rng=substream(47, "hoeff")
+    report = f2_check(
+        trust, epsilon=0.02, p=0.0, delta=0.05, trials=500, config=CFG,
+        rng=substream(47, "hoeff"),
     )
     # two-point noise: the drift is (2h - 5) * 0.02 for h positive signs out
     # of 5, and |drift| >= 0.05 needs |2h - 5| >= 3, i.e. h in {0, 1, 4, 5},
     # which has probability 12/32
-    assert report["q"] == pytest.approx(np.exp(-(0.05**2) / (4 * 0.02**2 * 5)))
-    assert report["empirical_prob"] <= report["q"]
-    assert abs(report["empirical_prob"] - 12 / 32) <= 0.07
+    assert report.q == pytest.approx(np.exp(-(0.05**2) / (4 * 0.02**2 * 5)))
+    assert report.drift_prob <= report.q
+    assert abs(report.drift_prob - 12 / 32) <= 0.07
 
 
 @pytest.mark.parametrize("delta", [np.nan, 0.0, -0.05])
 def test_hoeffding_rejects_nonpositive_delta(delta):
-    with pytest.raises(ValueError):
-        hoeffding_check(np.array([0.5, 0.3]), epsilon=0.02, delta=delta, trials=10)
+    # the drift threshold of f2_check's Hoeffding half
+    with pytest.raises(ValueError, match=r"delta must lie strictly between 0 and \|\|trust\|\|_1"):
+        f2_check(np.array([0.5, 0.3]), epsilon=0.02, p=0.0, delta=delta, trials=10)
 
 
 # ------------------------------------------------------------------- csv

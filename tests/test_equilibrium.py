@@ -265,6 +265,100 @@ def test_best_response_dynamics_reach_proportional_endorsement():
     assert worst <= DYNAMICS_DISTANCE
 
 
+# Both fixed before any run; never loosened to pass.
+JACOBIAN_RELATIVE_ERROR = 1e-7  # central differences against the analytic block
+MONOTONE_SLACK = 1e-12  # rounding allowance, relative to the two sides
+
+
+def pseudo_gradient(x, trust):
+    """g_ij = R_j (T_j - x_ij) / T_j^2, the gradient of player i's server-only
+    utility sum_j R_j x_ij / T_j in its own entry x_ij, with T_j = sum_i x_ij."""
+    totals = x.sum(axis=0)
+    return trust * (totals - x) / totals**2
+
+
+def jacobian_block(x_j, rating):
+    """Server j's block (R_j / T_j^3)(2 x_j 1^T - T_j 1 1^T - T_j I) of the
+    pseudo-gradient's Jacobian; blocks of different servers do not interact."""
+    n, total = x_j.size, x_j.sum()
+    ones = np.ones((n, n))
+    return rating / total**3 * (2.0 * x_j[:, None] * ones - total * ones - total * np.eye(n))
+
+
+def interior_profiles(rng, count):
+    """Random server-only profiles whose every player holds every server."""
+    for _ in range(count):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+        x = rng.uniform(0.05, 1.0, size=(n, m))
+        yield rng.uniform(0.05, 1.0, size=m), x / x.sum(axis=1, keepdims=True)
+
+
+def test_pseudo_gradient_jacobian_matches_central_differences():
+    """The analytic Jacobian block of g_ij = R_j (T_j - x_ij) / T_j^2 equals
+    central finite differences of g at random interior profiles, and entries
+    across servers vanish; g itself is the derivative of bipartite_utility in
+    the player's own entry."""
+    rng = np.random.default_rng(20261020)
+    step = 1e-6
+    worst = 0.0
+    for trust, x in interior_profiles(rng, 40):
+        n, m = x.shape
+        numeric = np.empty((n, m, n, m))  # d g_ij / d x_kl
+        for k in range(n):
+            for l in range(m):
+                up, down = x.copy(), x.copy()
+                up[k, l] += step
+                down[k, l] -= step
+                difference = pseudo_gradient(up, trust) - pseudo_gradient(down, trust)
+                numeric[:, :, k, l] = difference / (2 * step)
+        analytic = np.zeros_like(numeric)
+        for j in range(m):
+            analytic[:, j, :, j] = jacobian_block(x[:, j], trust[j])
+        worst = max(worst, float(np.abs(numeric - analytic).max() / np.abs(analytic).max()))
+        # g is the utility's gradient: differentiate player 0's own row
+        others = x[1:].sum(axis=0)
+        for l in range(m):
+            up, down = x[0].copy(), x[0].copy()
+            up[l] += step
+            down[l] -= step
+            utilities = [bipartite_utility(row, others, trust) for row in (up, down)]
+            slope = (utilities[0] - utilities[1]) / (2 * step)
+            assert slope == pytest.approx(pseudo_gradient(x, trust)[0, l], rel=1e-6)
+    print(f"worst relative Jacobian error: {worst:.3g}")
+    assert worst <= JACOBIAN_RELATIVE_ERROR
+
+
+def test_pseudo_gradient_is_strictly_monotone_at_interior_profiles():
+    """v^T (J + J^T) v <= -2 (R_j / T_j^3)(T_j - ||x_j||_2) ||v||^2 on every
+    server's block, for random and for adversarial directions v, which is
+    Rosen's diagonal strict concavity (1965) of the server-only game.
+
+    Cauchy-Schwarz and 2ab <= a^2 + b^2 give the bound.  It goes slack where
+    a single player holds a server: then T_j = ||x_j||_2 and the right side is
+    0, and the utility jumps at T_j = 0 (FREE_SERVER_STAKE), so uniqueness is
+    only claimed where no server is held by one player alone.
+    """
+    rng = np.random.default_rng(20261021)
+    tightest = np.inf  # smallest v^T (J + J^T) v over its bound, which is negative
+    for trust, x in interior_profiles(rng, 40):
+        n, m = x.shape
+        for j in range(m):
+            block = jacobian_block(x[:, j], trust[j])
+            total = x[:, j].sum()
+            rate = -2.0 * trust[j] / total**3 * (total - np.linalg.norm(x[:, j]))
+            assert rate < 0
+            # along x_j, along 1, one player alone, a zero-sum move, one against the rest
+            first, ones = np.eye(n)[0], np.ones(n)
+            structured = [x[:, j], ones, first, x[:, j] - x[:, j].mean(), ones - 2 * first]
+            for v in [*structured, *rng.standard_normal((75, n))]:
+                lhs = v @ (block + block.T) @ v
+                rhs = rate * (v @ v)
+                assert lhs <= rhs + MONOTONE_SLACK * (abs(lhs) + abs(rhs))
+                tightest = min(tightest, lhs / rhs)
+    # both sides are negative, so the bound holds where the ratio is at least 1
+    print(f"smallest v^T (J + J^T) v over its bound: {tightest:.6g}")
+
+
 def test_best_response_starves_uncontested_server():
     # Against an opponent parked entirely on server 2, the optimum leaves the
     # uncontested server 1 with vanishing mass: any epsilon there already

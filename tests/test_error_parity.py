@@ -3,9 +3,11 @@ exception type and message, and accepts what it accepted before.
 
 The table was recorded from the code before the per-trial kernels, so a
 cheaper check that lets a bad input through, rejects a good one, or words
-its error differently fails here.  A row whose outcome is a RuntimeWarning
-pins an input that gets past every check into the arithmetic; NumPy's
-warning is raised as an error inside the test.
+its error differently fails here.  The best responses have since rejected
+non-finite and negative entries, and f1 and the noise generators anything
+but a nonempty vector, where these inputs once reached the arithmetic.
+NumPy's warnings are raised as errors inside the test, so an input that
+gets past every check into the arithmetic and warns fails here too.
 """
 
 import warnings
@@ -39,52 +41,52 @@ BAD = {
 }
 
 NORMALIZE = "cannot normalize a vector without positive, finite mass"
+NOT_A_VECTOR = "cannot normalize anything but a nonempty vector"
 NEGATIVE = "cannot normalize a vector with negative entries"
 BR_SHAPE = "trust and opponent mass must be vectors of equal length"
-BR_SIGN = "trust and opponent mass must be nonnegative"
+BR_SIGN = "trust and opponent mass must be finite and nonnegative"
 CF_SHAPE = "trust and belief must be vectors of equal length"
+CF_SIGN = "trust and belief must be finite and nonnegative"
 DISJOINT = "trust and belief share no supported server"
 TRUST_RANGE = "trust values must lie in [0, 1]"
 BELIEF_MASS = "belief must be nonnegative with positive mass"
 BELIEF_SHAPE = "belief and trust must have the same shape"
 MARGIN = "trust values within 0.01 of 0 or 1 cannot take symmetric noise"
 PLAYERS = "need at least 2 players, got 1"
-DIVIDE = (RuntimeWarning, "invalid value encountered in divide")
-SQRT = (RuntimeWarning, "invalid value encountered in sqrt")
+TRUST_VECTOR = "trust must be a nonempty vector"
 
 # (function, role of the bad vector) -> outcome per BAD key: a message (a
 # ValueError), an (exception type, message) pair, or None (returns).
 EXPECTED = {
     ("f1", "vector"): {
         "nan": NORMALIZE, "nan-then-negative": NEGATIVE, "negative-then-nan": NEGATIVE,
-        "inf": NORMALIZE, "-inf": NEGATIVE, "both-infs": NEGATIVE, "empty": NORMALIZE,
-        "matrix": None, "zero-mass": NORMALIZE,
+        "inf": NORMALIZE, "-inf": NEGATIVE, "both-infs": NEGATIVE, "empty": NOT_A_VECTOR,
+        "matrix": NOT_A_VECTOR, "zero-mass": NORMALIZE,
     },
     ("best_response_to_mass", "trust"): {
         "nan": BR_SIGN, "nan-then-negative": BR_SIGN, "negative-then-nan": BR_SIGN,
-        "inf": DIVIDE, "-inf": BR_SIGN, "both-infs": BR_SIGN, "empty": BR_SHAPE, "matrix": BR_SHAPE,
+        "inf": BR_SIGN, "-inf": BR_SIGN, "both-infs": BR_SIGN, "empty": BR_SHAPE, "matrix": BR_SHAPE,
         "zero-mass": None,
     },
     ("best_response_to_mass", "mass"): {
         "nan": BR_SIGN, "nan-then-negative": BR_SIGN, "negative-then-nan": BR_SIGN,
-        "inf": DIVIDE, "-inf": BR_SIGN, "both-infs": BR_SIGN, "empty": BR_SHAPE, "matrix": BR_SHAPE,
+        "inf": BR_SIGN, "-inf": BR_SIGN, "both-infs": BR_SIGN, "empty": BR_SHAPE, "matrix": BR_SHAPE,
         "zero-mass": None,
     },
     ("best_response_closed_form", "trust"): {
-        "nan": None, "nan-then-negative": SQRT, "negative-then-nan": SQRT, "inf": DIVIDE,
-        "-inf": SQRT, "both-infs": SQRT, "empty": CF_SHAPE, "matrix": CF_SHAPE,
-        "zero-mass": (DegenerateBelief, DISJOINT),
+        "nan": CF_SIGN, "nan-then-negative": CF_SIGN, "negative-then-nan": CF_SIGN,
+        "inf": CF_SIGN, "-inf": CF_SIGN, "both-infs": CF_SIGN, "empty": CF_SHAPE,
+        "matrix": CF_SHAPE, "zero-mass": (DegenerateBelief, DISJOINT),
     },
     ("best_response_closed_form", "belief"): {
-        "nan": NORMALIZE, "nan-then-negative": SQRT, "negative-then-nan": SQRT, "inf": DIVIDE,
-        "-inf": SQRT, "both-infs": SQRT, "empty": CF_SHAPE, "matrix": CF_SHAPE,
-        "zero-mass": (DegenerateBelief, DISJOINT),
+        "nan": CF_SIGN, "nan-then-negative": CF_SIGN, "negative-then-nan": CF_SIGN,
+        "inf": CF_SIGN, "-inf": CF_SIGN, "both-infs": CF_SIGN, "empty": CF_SHAPE,
+        "matrix": CF_SHAPE, "zero-mass": (DegenerateBelief, DISJOINT),
     },
     ("measure_epsilon_prime", "trust"): {
         "nan": TRUST_RANGE, "nan-then-negative": TRUST_RANGE, "negative-then-nan": TRUST_RANGE,
         "inf": TRUST_RANGE, "-inf": TRUST_RANGE, "both-infs": TRUST_RANGE,
-        "empty": "trust must be a nonempty vector",
-        "matrix": "trust must be a nonempty vector", "zero-mass": "trust has no positive entry",
+        "empty": TRUST_VECTOR, "matrix": TRUST_VECTOR, "zero-mass": "trust has no positive entry",
     },
     ("measure_epsilon_prime", "belief"): {
         "nan": BELIEF_MASS, "nan-then-negative": BELIEF_MASS, "negative-then-nan": BELIEF_MASS,
@@ -94,7 +96,8 @@ EXPECTED = {
     },
     ("noisy_belief_two_point", "trust"): {
         "nan": MARGIN, "nan-then-negative": MARGIN, "negative-then-nan": MARGIN, "inf": MARGIN,
-        "-inf": MARGIN, "both-infs": MARGIN, "empty": None, "matrix": None, "zero-mass": MARGIN,
+        "-inf": MARGIN, "both-infs": MARGIN, "empty": TRUST_VECTOR, "matrix": TRUST_VECTOR,
+        "zero-mass": MARGIN,
     },
 }
 
