@@ -16,7 +16,7 @@ from .bootstrap import (
     select_committee,
     trace_event_log,
 )
-from .decoder import DecodeResult, decode, decode_graph, f2_check, noisy_belief_two_point
+from .decoder import DecodeResult, _check_p, decode, decode_graph, f2_check, noisy_belief_two_point
 from .equilibrium import (
     DegenerateBelief,
     epsilon_prime_bound,
@@ -142,8 +142,9 @@ def cmd_noisy(args) -> int:
     trust = _require_trust(graph, "noisy")
     n = args.n if args.n is not None else graph.n
     epsilons = args.epsilon or list(DEFAULT_EPSILONS)
-    # The f2 checks run first, so a bad --p or --delta fails before the sweep
-    # writes noisy.csv; their "f2" streams are independent of the sweep's.
+    # --p and the f2 checks go first, so a bad --p or --delta fails before the
+    # sweep writes noisy.csv; their "f2" streams are independent of the sweep's.
+    _check_p(args.p)
     reports = []
     if args.delta is not None:
         reports = [

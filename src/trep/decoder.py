@@ -127,6 +127,12 @@ class F2Report:
     threshold: float
 
 
+def _check_p(p: float) -> None:
+    """Reject a per-entry failure probability outside [0, 1], NaN included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
 def f2_check(
     trust: np.ndarray,
     epsilon: float,
@@ -155,8 +161,7 @@ def f2_check(
     m = trust.size
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(p)
     total = trust.sum()
     if not 0 < delta < total:
         raise ValueError(f"delta must lie strictly between 0 and ||trust||_1 = {total}")

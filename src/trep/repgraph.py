@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -216,9 +215,10 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     structural violations (bad row sums, dangling users) raise ValueError.
     A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
-    is built: NumPy's text reader converts the edge lines to the edge list;
-    1_0, non-ASCII digits and the other tokens it cannot read as int and
-    float do go to the line loop (see _parse_bulk).
+    is built: NumPy's text reader converts the edge lines to the edge list,
+    in one call when every declaration precedes the first edge line and in a
+    second when one follows it; 1_0, non-ASCII digits and the other tokens it
+    cannot read as int and float do go to the line loop (see _parse_bulk).
     """
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
@@ -234,46 +234,63 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
 def _parse_bulk(text: str) -> tuple | None:
     """_parse_lines for a file whose edge lines are all valid, or None.
 
-    The declarations go through the line loop on their own; NumPy's text
-    reader converts the edge lines in one call.  It reads integers as a sign
-    and ASCII digits and floats with the routine float uses, so each token
-    it accepts gets the builtins' value.  Any failed check returns None, and
-    the line loop parses the file again and reports the first error at its
-    line; so do tokens the reader rejects but the builtins accept (1_0,
-    non-ASCII digits) and edge lines holding a NUL or a non-ASCII character
-    other than whitespace, since the reader drops a key's trailing NULs and
-    takes some such characters for digits.
+    NumPy's text reader converts every line from the first edge line on in
+    one call, skipping blank ones; the declarations before that line go
+    through the line loop.  A declaration after the first edge line makes the
+    reader refuse that table (its key is not edge), so a second call converts
+    the edge lines alone and such declarations join the others.  The reader
+    reads integers as a sign and ASCII digits and floats with the routine
+    float uses, so each token it accepts gets the builtins' value.  Any failed
+    check returns None, and the line loop parses the file again and reports
+    the first error at its line; so do tokens the reader rejects but the
+    builtins accept (1_0, non-ASCII digits) and edge lines holding a NUL or a
+    non-ASCII character other than whitespace, since the reader drops a key's
+    trailing NULs and takes some such characters for digits.
     """
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    is_edge = [line.lstrip().startswith("edge") for line in lines]
-    count = sum(is_edge)
-    first = is_edge.index(True) if count else len(lines)
+    first = next((k for k, line in enumerate(lines) if line.lstrip().startswith("edge")), None)
+    if first is None:
+        return None
+    header, edges = lines[:first], lines[first:]
+    table = _read_edges(edges)
+    if table is None:  # a declaration follows the first edge line, or an edge line is bad
+        edges = []
+        for line in lines[first:]:
+            (edges if line.lstrip().startswith("edge") else header).append(line)
+        table = _read_edges(edges)
+        if table is None:
+            return None
     try:
-        n, m, alpha, trust, *_ = _parse_lines("\n".join(l for l, e in zip(lines, is_edge) if not e))
+        n, m, alpha, trust, *_ = _parse_lines("\n".join(header))
     except ParseError:
         return None
     declared = {line.split()[0] for line in lines[:first] if line.strip()}
-    if not count or not {"users", "servers"} <= declared or n * (m + n) >= 2**62:  # keys overflow
+    if not {"users", "servers"} <= declared or n * (m + n) >= 2**62:  # keys overflow
         return None
-    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.search, compress(lines, is_edge))):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # NumPy < 2 reads 1.0 as an integer, with a warning
-            table = np.loadtxt(compress(lines, is_edge), _EDGE_LINE, comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
+    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.search, edges)):
         return None
     rows, cols, weights = table["source"] - 1, table["target"] - 1, table["weight"]
     in_range = rows.min() >= 0 and rows.max() < n and cols.min() >= 0 and cols.max() < m + n
-    if not in_range or np.any(table["key"] != "edge") or np.any(weights < 0):
+    if not in_range or np.any(weights < 0):
         return None
     keys = rows * (m + n) + cols
     order = np.argsort(keys)
     if np.any(np.diff(keys[order]) == 0):
         return None
     return n, m, alpha, trust, rows[order], cols[order], weights[order]
+
+
+def _read_edges(lines: list[str]) -> np.ndarray | None:
+    """NumPy's text reader's table of these lines; None if it refuses one or a key is not edge."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy < 2 reads 1.0 as an integer, with a warning
+            table = np.loadtxt(lines, _EDGE_LINE, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return table if np.all(table["key"] == "edge") else None
 
 
 def _parse_lines(text: str) -> tuple:

@@ -310,15 +310,28 @@ def test_trials_below_one_exits_2(scenario, tmp_path, command, trials):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--delta", "nan"], ["--p", "-1"], ["--p", "5"], ["--p", "nan"]],
-    ids=["delta-nan", "p-negative", "p-above-1", "p-nan"],
+    [
+        ["--delta", "nan"],
+        ["--p", "-1", "--delta", "0.05"],
+        ["--p", "5", "--delta", "0.05"],
+        ["--p", "nan", "--delta", "0.05"],
+        # --p enters only the f2 checks, but a bad one fails without --delta too
+        ["--p", "-1"],
+        ["--p", "5"],
+        ["--p", "nan"],
+    ],
+    ids=[
+        "delta-nan", "p-negative", "p-above-1", "p-nan",
+        "p-negative-no-delta", "p-above-1-no-delta", "p-nan-no-delta",
+    ],
 )
 def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
     args = ["noisy", str(scenario), "--trials", "2", "--out", str(tmp_path)]
-    if bad[0] == "--p":
-        args += ["--delta", "0.05"]
     assert main(args + bad) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if bad[0] == "--p":
+        assert err == f"error: p must lie in [0, 1], got {float(bad[1])}\n"
     assert not (tmp_path / "f2.csv").exists()
     assert not (tmp_path / "noisy.csv").exists()  # checked before the sweep runs
 

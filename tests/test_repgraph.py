@@ -551,6 +551,15 @@ def _scenario(edges, n=2):
 @example(_scenario(["edge\x00 1 1 1", "edge 2 1 1"]))  # the reader drops a key's trailing NUL
 # NumPy's reader takes U+01FE (Ǿ) for a digit and reads this source as 462
 @example(_scenario([f"edge {i} 1 1" for i in range(1, 462)] + ["edge \u01fe 1 1"], n=462))
+# the reader takes every line from the first edge line on: a four-token
+# declaration there reads as a row, and only its key sends the edge lines to
+# a second reader call (valid: bulk path)
+@example("trep v1\nusers 2\nservers 3\nalpha 0.15\nedge 1 1 1\ntrust 1 1 1\nedge 2 2 1\n")
+# \x0b and \x1c end a line for splitlines (valid: bulk path)
+@example("trep v1\nusers 2\nservers 1\nalpha 0.15\x0bedge 1 1 1\nedge 2 1 1\n")
+@example("trep v1\nusers 2\nservers 1\nalpha 0.15\nedge 1 1 1\x1cedge 2 1 1\n")
+# blank, whitespace-only and comment-only lines among the edges (valid: bulk path)
+@example(_scenario(["edge 1 1 1", "", " \t", "# note", "  # edge 2 1 1", "edge 2 1 1"]).replace("\n", "\r\n"))
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     # load converts edge lines in bulk and falls back to the line loop on any
     # failure; either way it must agree with the dense line-by-line oracle:
