@@ -25,8 +25,8 @@ from .equilibrium import (
     measure_epsilon_prime,
     verify_unique_nash,
 )
-from .pagerank import AllServersUntrusted, NonConvergence
-from .repgraph import Config, ParseError, _fmt, load
+from .pagerank import AllServersUntrusted
+from .repgraph import Config, _fmt, load
 from .rng import substream
 
 DEFAULT_EPSILONS = [0.001, 0.005, 0.01, 0.02]
@@ -284,17 +284,16 @@ def main(argv=None) -> int:
     # Looked up by name at each call, not bound in the long-lived parser, so
     # a rebinding of cmd_* in this module (a tracer, a test) takes effect.
     command = globals()[f"cmd_{args.command}"]
+    # AllServersUntrusted and DegenerateBelief are ValueErrors, so they are
+    # caught first; NonConvergence is a RuntimeError, ParseError a ValueError.
     try:
         return command(args)
-    except (NonConvergence, AllServersUntrusted, DegenerateBelief) as exc:
+    except (AllServersUntrusted, DegenerateBelief, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -58,23 +58,21 @@ class Config:
 class RepGraph:
     """An endorsement graph, optionally annotated with server trust levels.
 
-    The graph is stored as an edge list: `rows` (users), `cols` (targets,
-    servers first) and `weights`, 0-based, sorted by row then column, with
-    zero weights dropped.  `edges` is the dense n x (m + n) matrix, built on
-    first access unless the graph was built from it.  All arrays are
-    read-only, and a graph is not changed after construction, so it is
-    validated once.  Construction never validates; call validate() to collect
-    violations.
+    The graph is its edge list: `rows` (users), `cols` (targets, servers
+    first) and `weights`, 0-based, sorted by row then column, with zero
+    weights dropped.  All arrays are read-only, and a graph is not changed
+    after construction, so it is validated once.  Construction never
+    validates; call validate() to collect violations.
     """
 
-    __slots__ = ("n", "m", "rows", "cols", "weights", "trust", "_valid", "_dense")
+    __slots__ = ("n", "m", "rows", "cols", "weights", "trust", "_valid")
 
     def __init__(self, n: int, m: int, edges: np.ndarray, trust: np.ndarray | None = None):
-        dense = np.array(edges, dtype=float)  # kept as the dense view
-        if dense.shape != (n, m + n):
-            raise ValueError(f"edge matrix shape {dense.shape} does not match n={n}, m={m}")
-        rows, cols = dense.nonzero()
-        self._fill(n, m, rows, cols, dense[rows, cols], trust, dense)
+        edges = np.asarray(edges, dtype=float)
+        if edges.shape != (n, m + n):
+            raise ValueError(f"edge matrix shape {edges.shape} does not match n={n}, m={m}")
+        rows, cols = edges.nonzero()
+        self._fill(n, m, rows, cols, edges[rows, cols], trust)
 
     @classmethod
     def from_coo(cls, n, m, rows, cols, weights, trust=None) -> RepGraph:
@@ -91,28 +89,25 @@ class RepGraph:
             raise ValueError("edges must be sorted by row then column, each pair at most once")
         keep = weights != 0
         graph = cls.__new__(cls)
-        graph._fill(n, m, rows[keep], cols[keep], weights[keep], trust, None)
+        graph._fill(n, m, rows[keep], cols[keep], weights[keep], trust)
         return graph
 
-    def _fill(self, n, m, rows, cols, weights, trust, dense) -> None:
-        # rows, cols, weights and dense are fresh arrays; trust is the caller's
+    def _fill(self, n, m, rows, cols, weights, trust) -> None:
+        # rows, cols and weights are fresh arrays; trust is the caller's
         if trust is not None:
             trust = np.array(trust, dtype=float)
             trust.flags.writeable = False
-        if dense is not None:
-            dense.flags.writeable = False
         rows.flags.writeable = cols.flags.writeable = weights.flags.writeable = False
         self.n, self.m, self.rows, self.cols, self.weights = n, m, rows, cols, weights
-        self.trust, self._valid, self._dense = trust, False, dense
+        self.trust, self._valid = trust, False
 
     @property
     def edges(self) -> np.ndarray:
-        if self._dense is None:
-            dense = np.zeros((self.n, self.m + self.n))
-            dense[self.rows, self.cols] = self.weights
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
+        """The dense n x (m + n) matrix, built afresh (and read-only) on each access."""
+        dense = np.zeros((self.n, self.m + self.n))
+        dense[self.rows, self.cols] = self.weights
+        dense.flags.writeable = False
+        return dense
 
 
 def validate(graph: RepGraph) -> list[str]:
@@ -205,7 +200,7 @@ def _parse_number(kind: type, token: str, what: str, lineno: int):
 
 # An edge line for NumPy's text reader, which cuts a longer key to 5 characters
 _EDGE_LINE = np.dtype([("key", "U5"), ("source", np.intp), ("target", np.intp), ("weight", float)])
-_FOREIGN = re.compile(r"[^\x01-\x7f\s]")  # NUL, or non-ASCII and not whitespace
+_FOREIGN = re.compile(r"[^#]*?[^\x01-\x7f\s]")  # before any #: NUL, or non-ASCII and not whitespace
 
 
 def load(path: str | Path) -> tuple[RepGraph, Config]:
@@ -216,9 +211,10 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
     is built: NumPy's text reader converts the edge lines to the edge list,
-    in one call when every declaration precedes the first edge line and in a
-    second when one follows it; 1_0, non-ASCII digits and the other tokens it
-    cannot read as int and float do go to the line loop (see _parse_bulk).
+    comments and all, in one call when every declaration precedes the first
+    edge line and in a second when one follows it; 1_0, non-ASCII digits and
+    the other tokens it cannot read as int and float do go to the line loop
+    (see _parse_bulk).
     """
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
@@ -234,22 +230,21 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
 def _parse_bulk(text: str) -> tuple | None:
     """_parse_lines for a file whose edge lines are all valid, or None.
 
-    NumPy's text reader converts every line from the first edge line on in
-    one call, skipping blank ones; the declarations before that line go
-    through the line loop.  A declaration after the first edge line makes the
-    reader refuse that table (its key is not edge), so a second call converts
-    the edge lines alone and such declarations join the others.  The reader
-    reads integers as a sign and ASCII digits and floats with the routine
-    float uses, so each token it accepts gets the builtins' value.  Any failed
-    check returns None, and the line loop parses the file again and reports
-    the first error at its line; so do tokens the reader rejects but the
-    builtins accept (1_0, non-ASCII digits) and edge lines holding a NUL or a
-    non-ASCII character other than whitespace, since the reader drops a key's
-    trailing NULs and takes some such characters for digits.
+    NumPy's text reader converts every line from the first edge line on in one
+    call, skipping blank lines and each line's text from its first #; the
+    declarations before that line go through the line loop.  A declaration
+    after the first edge line makes the reader refuse that table (its key is
+    not edge), so a second call converts the edge lines alone and such
+    declarations join the others.  The reader reads integers as a sign and
+    ASCII digits and floats with the routine float uses, so each token it
+    accepts gets the builtins' value.  Any failed check returns None, and the
+    line loop parses the file again and reports the first error at its line;
+    so do tokens the reader rejects but the builtins accept (1_0, non-ASCII
+    digits) and edge lines holding, before any #, a NUL or a non-ASCII
+    character other than whitespace, since the reader drops a key's trailing
+    NULs and takes some such characters for digits.
     """
     lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
     first = next((k for k, line in enumerate(lines) if line.lstrip().startswith("edge")), None)
     if first is None:
         return None
@@ -269,7 +264,7 @@ def _parse_bulk(text: str) -> tuple | None:
     declared = {line.split()[0] for line in lines[:first] if line.strip()}
     if not {"users", "servers"} <= declared or n * (m + n) >= 2**62:  # keys overflow
         return None
-    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.search, edges)):
+    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.match, edges)):
         return None
     rows, cols, weights = table["source"] - 1, table["target"] - 1, table["weight"]
     in_range = rows.min() >= 0 and rows.max() < n and cols.min() >= 0 and cols.max() < m + n
@@ -287,7 +282,7 @@ def _read_edges(lines: list[str]) -> np.ndarray | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # NumPy < 2 reads 1.0 as an integer, with a warning
-            table = np.loadtxt(lines, _EDGE_LINE, comments=None, ndmin=1)
+            table = np.loadtxt(lines, _EDGE_LINE, comments="#", ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
     return table if np.all(table["key"] == "edge") else None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import trep.cli
+import trep.repgraph
 from trep.cli import DEFAULT_EPSILONS, main
 
 SCENARIO = """trep v1
@@ -186,6 +187,25 @@ def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, co
     args = ["nash", str(scenario), "--out", str(tmp_path / "out"), "--k", "2", "--trials", "10"]
     assert main(args) == 0
     assert len(graphs) == 10
+
+
+def test_commands_never_build_the_dense_matrix(scenario, tmp_path, monkeypatch):
+    # Scores, gains and bootstrap runs read the edge list; the dense matrix
+    # is for the library's dense solves and tests only.
+    def unread(graph):
+        pytest.fail("a command read RepGraph.edges")
+
+    monkeypatch.setattr(trep.repgraph.RepGraph, "edges", property(unread))
+    commands = [
+        ["decode", "--seed", "5"],
+        ["nash", "--seed", "5", "--trials", "25"],
+        ["nash", "--k", "2", "--trials", "5"],
+        ["noisy", "--seed", "5", "--trials", "6", "--epsilon", "0.005", "--epsilon", "0.01",
+         "--delta", "0.05"],
+        ["bootstrap", "--seed", "5", "--trials", "8", "--lambda", "4", "--committee", "2"],
+    ]
+    for k, (command, *args) in enumerate(commands):
+        assert main([command, str(scenario), *args, "--out", str(tmp_path / str(k))]) == 0
 
 
 def test_noisy_csv_columns_and_determinism(scenario, tmp_path):

@@ -399,6 +399,16 @@ def test_dense_to_edge_list_and_back_is_bit_exact():
         assert back.tobytes() == edges.tobytes() == g.edges.tobytes()
 
 
+def test_graph_keeps_no_copy_of_the_callers_matrix():
+    # The edge list is the whole graph: changing the matrix afterwards changes
+    # nothing, each .edges is a fresh matrix, and a -0.0 entry reads +0.0.
+    edges = np.array([[0.5, -0.0, 0.5], [1.0, 0.0, 0.0]])
+    g = RepGraph(n=2, m=1, edges=edges)
+    edges[0, 0] = 0.25
+    assert g.edges is not g.edges
+    assert g.edges.tobytes() == np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]).tobytes()
+
+
 @pytest.mark.parametrize(
     "rows, cols, weights, message",
     [
@@ -560,6 +570,12 @@ def _scenario(edges, n=2):
 @example("trep v1\nusers 2\nservers 1\nalpha 0.15\nedge 1 1 1\x1cedge 2 1 1\n")
 # blank, whitespace-only and comment-only lines among the edges (valid: bulk path)
 @example(_scenario(["edge 1 1 1", "", " \t", "# note", "  # edge 2 1 1", "edge 2 1 1"]).replace("\n", "\r\n"))
+# NumPy's reader skips each line's text from its first #: a # glued to a
+# weight, a comment holding a non-ASCII character after an edge, and a
+# comment line above the header (valid: bulk path)
+@example(_scenario(["edge 1 1 1#x", "edge 2 1 1"]))
+@example(_scenario(["edge 1 1 1  # caf\u00e9 \u00fcber", "edge 2 1 1"]))
+@example("# generated\n" + _scenario(["edge 1 1 1", "edge 2 1 1"]))
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     # load converts edge lines in bulk and falls back to the line loop on any
     # failure; either way it must agree with the dense line-by-line oracle:
