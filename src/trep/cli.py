@@ -67,23 +67,26 @@ def _require_trust(graph, command: str) -> np.ndarray:
     return graph.trust
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then each row's fields joined by commas."""
+    return "".join(line + "\n" for line in [header, *map(",".join, rows)])
+
+
+def _metrics(result: DecodeResult) -> list[tuple[str, str]]:
+    """The accuracy metrics of a decode result as written, "n/a" where unknown."""
+    return [
+        ("inversions", "n/a" if result.inversions is None else str(result.inversions)),
+        ("linf_error", "n/a" if result.linf_error is None else _fmt(result.linf_error)),
+    ]
+
+
 def decode_result_csv(result: DecodeResult, trust: np.ndarray | None = None) -> str:
     """Render a decode result as CSV with a commented metrics footer."""
-    lines = []
-    if trust is not None:
-        trust = np.asarray(trust, dtype=float)
-        lines.append("server_index,rho,trust")
-        for j, (score, level) in enumerate(zip(result.rho, trust), start=1):
-            lines.append(f"{j},{_fmt(score)},{_fmt(level)}")
-    else:
-        lines.append("server_index,rho")
-        for j, score in enumerate(result.rho, start=1):
-            lines.append(f"{j},{_fmt(score)}")
-    inversions = "n/a" if result.inversions is None else str(result.inversions)
-    linf = "n/a" if result.linf_error is None else _fmt(result.linf_error)
-    lines.append(f"# inversions,{inversions}")
-    lines.append(f"# linf_error,{linf}")
-    return "\n".join(lines) + "\n"
+    columns = [result.rho] if trust is None else [result.rho, np.asarray(trust, dtype=float)]
+    rows = [(str(j), *map(_fmt, values)) for j, values in enumerate(zip(*columns), start=1)]
+    footer = [("# " + name, value) for name, value in _metrics(result)]
+    header = "server_index,rho" if trust is None else "server_index,rho,trust"
+    return _csv(header, rows + footer)
 
 
 def cmd_decode(args) -> int:
@@ -91,9 +94,8 @@ def cmd_decode(args) -> int:
     result = decode_graph(graph, cfg, trust=graph.trust)
     _write_text(Path(args.out) / "decode.csv", decode_result_csv(result, trust=graph.trust))
     print("rho " + " ".join(_fmt(v) for v in result.rho))
-    print(f"inversions {'n/a' if result.inversions is None else result.inversions}")
-    linf = "n/a" if result.linf_error is None else _fmt(result.linf_error)
-    print(f"linf_error {linf}")
+    for name, value in _metrics(result):
+        print(name, value)
     return 0
 
 
@@ -104,32 +106,23 @@ def cmd_nash(args) -> int:
     if args.k is not None:
         if not 1 <= args.k <= n - 1:  # before rng.dirichlet sees k
             raise ValueError(f"k must lie in 1..{n - 1}, got {args.k}")
-        rows = []
-        reference = None
-        worst_gain = 0.0
-        worst_drift = 0.0
+        gains, scores = [], []
         for draw in range(args.trials):
             rng = substream(args.seed, "fresh", draw)
             weights = rng.dirichlet(np.ones(args.k), size=n - args.k)
-            gains = hierarchy_best_response_gains(trust, weights, cfg)
-            rho = decode(hierarchy_profile(trust, weights), cfg).rho
-            if reference is None:
-                reference = rho
-            drift = float(np.max(np.abs(rho - reference)))
-            worst_gain = max(worst_gain, float(gains.max()))
-            worst_drift = max(worst_drift, drift)
-            rows.append(f"{draw},{_fmt(gains.max())},{_fmt(drift)}")
-        text = "draw,max_gain,rho_drift\n" + "\n".join(rows) + "\n"
-        _write_text(Path(args.out) / "nash.csv", text)
+            gains.append(hierarchy_best_response_gains(trust, weights, cfg).max())
+            scores.append(decode(hierarchy_profile(trust, weights), cfg).rho)
+        drifts = np.abs(np.array(scores) - scores[0]).max(axis=1)  # against the first draw
+        rows = [(str(d), _fmt(g), _fmt(r)) for d, (g, r) in enumerate(zip(gains, drifts))]
+        _write_text(Path(args.out) / "nash.csv", _csv("draw,max_gain,rho_drift", rows))
         print(
             f"hierarchy k={args.k} draws={args.trials} "
-            f"max_gain {_fmt(worst_gain)} max_rho_drift {_fmt(worst_drift)}"
+            f"max_gain {_fmt(max(gains))} max_rho_drift {_fmt(drifts.max())}"
         )
         return 0
     report = verify_unique_nash(trust, n, probes=args.trials, rng=substream(args.seed, "probes"))
-    rows = [f"{i + 1},{_fmt(report.utility)},{_fmt(report.epsilon_prime)}" for i in range(n)]
-    text = "player,utility,gain\n" + "\n".join(rows) + "\n"
-    _write_text(Path(args.out) / "nash.csv", text)
+    rows = [(str(i + 1), _fmt(report.utility), _fmt(report.epsilon_prime)) for i in range(n)]
+    _write_text(Path(args.out) / "nash.csv", _csv("player,utility,gain", rows))
     print(f"epsilon_prime {_fmt(report.epsilon_prime)}")
     print(f"expected_value {_fmt(report.expected_value)}")
     print(f"probe_min {_fmt(report.probe_min)}")
@@ -142,50 +135,35 @@ def cmd_noisy(args) -> int:
     trust = _require_trust(graph, "noisy")
     n = args.n if args.n is not None else graph.n
     epsilons = args.epsilon or list(DEFAULT_EPSILONS)
-    # --p and the f2 checks go first, so a bad --p or --delta fails before the
-    # sweep writes noisy.csv; their "f2" streams are independent of the sweep's.
+    # A bad --p fails before any draw, with or without --delta.  Each noise
+    # level runs its f2 check before its sweep trials: the check makes every
+    # input check of those trials, at the latest on its first draw, and the
+    # "f2" and "noisy" substreams do not depend on the order of the calls, so
+    # the bytes and the first error are those of all f2 checks run first.
     _check_p(args.p)
-    reports = []
-    if args.delta is not None:
-        reports = [
-            f2_check(
-                trust,
-                epsilon=eps,
-                p=args.p,
-                delta=args.delta,
-                trials=args.trials,
-                config=cfg,
-                rng=substream(args.seed, "f2", index),
-                n=n,
-            )
-            for index, eps in enumerate(epsilons)
-        ]
-    rows = []
-    worst = 0.0
+    f2_rows, rows, defects = [], [], []
     for index, eps in enumerate(epsilons):
+        if args.delta is not None:
+            r = f2_check(
+                trust, epsilon=eps, p=args.p, delta=args.delta, trials=args.trials,
+                config=cfg, rng=substream(args.seed, "f2", index), n=n,
+            )
+            f2_rows.append(tuple(map(_fmt, (eps, r.empirical_prob, r.bound, r.q, r.threshold))))
         gains = []
         for trial in range(args.trials):
             belief = noisy_belief_two_point(trust, eps, substream(args.seed, "noisy", index, trial))
             gains.append(measure_epsilon_prime(trust, belief, n))
         # Computed after the trials, so that their input errors are the ones reported
         bound = _fmt(epsilon_prime_bound(trust.size, n, eps))
-        worst = max(worst, *gains)
-        rows.extend(f"{_fmt(eps)},{_fmt(gain)},{bound}" for gain in gains)
-    _write_text(
-        Path(args.out) / "noisy.csv", "epsilon,epsilon_prime,bound\n" + "\n".join(rows) + "\n"
-    )
-    print(f"epsilons {len(epsilons)} trials {args.trials} max_epsilon_prime {_fmt(worst)}")
+        rows.extend((_fmt(eps), _fmt(gain), bound) for gain in gains)
+        defects.extend(gains)
+    _write_text(Path(args.out) / "noisy.csv", _csv("epsilon,epsilon_prime,bound", rows))
+    print(f"epsilons {len(epsilons)} trials {args.trials} max_epsilon_prime {_fmt(max(defects))}")
     if args.delta is not None:
-        f2_rows = []
-        for eps, r in zip(epsilons, reports):
-            print(f"f2 eps {_fmt(eps)} empirical {_fmt(r.empirical_prob)} bound {_fmt(r.bound)}")
-            f2_rows.append(
-                f"{_fmt(eps)},{_fmt(r.empirical_prob)},{_fmt(r.bound)},{_fmt(r.q)},{_fmt(r.threshold)}"
-            )
-        _write_text(
-            Path(args.out) / "f2.csv",
-            "epsilon,empirical_prob,bound,q,threshold\n" + "\n".join(f2_rows) + "\n",
-        )
+        for eps, empirical, bound, *_ in f2_rows:
+            print(f"f2 eps {eps} empirical {empirical} bound {bound}")
+        header = "epsilon,empirical_prob,bound,q,threshold"
+        _write_text(Path(args.out) / "f2.csv", _csv(header, f2_rows))
     return 0
 
 
@@ -205,15 +183,13 @@ def cmd_bootstrap(args) -> int:
             log = trace_event_log(trace)
         majority, margin = honest_majority_check(committee, trace.honest)
         detected = ";".join(str(j + 1) for j in trace.detected) or "none"
-        rows.append(
-            f"{trial},{trace.restarts},{trace.rounds},{detected},"
-            f"{'true' if majority else 'false'},{margin}"
-        )
+        verdict = "true" if majority else "false"
+        rows.append(tuple(map(str, (trial, trace.restarts, trace.rounds, detected, verdict, margin))))
         restarts += trace.restarts
         majorities += majority
     _write_text(Path(args.out) / "bootstrap.log", log)
-    header = "trial,restarts,rounds,detected,majority,margin\n"
-    _write_text(Path(args.out) / "bootstrap.csv", header + "\n".join(rows) + "\n")
+    header = "trial,restarts,rounds,detected,majority,margin"
+    _write_text(Path(args.out) / "bootstrap.csv", _csv(header, rows))
     print(
         f"trials {args.trials} mean_restarts {_fmt(restarts / args.trials)} "
         f"majority_rate {_fmt(majorities / args.trials)}"

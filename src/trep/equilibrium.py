@@ -86,9 +86,9 @@ def best_response_to_mass(trust: np.ndarray, opponent_mass: np.ndarray) -> np.nd
     """
     ratings = np.asarray(trust, dtype=float)
     mass = np.asarray(opponent_mass, dtype=float)
-    if ratings.shape != mass.shape or ratings.ndim != 1:
-        raise ValueError("trust and opponent mass must be vectors of equal length")
-    if ratings.size and not _finite_nonnegative(ratings, mass):  # an empty pair passes
+    if ratings.shape != mass.shape or ratings.ndim != 1 or ratings.size == 0:
+        raise ValueError("trust and opponent mass must be nonempty vectors of equal length")
+    if not _finite_nonnegative(ratings, mass):
         raise ValueError("trust and opponent mass must be finite and nonnegative")
     return _waterfill(ratings, mass)
 
@@ -100,7 +100,7 @@ def _finite_nonnegative(*vectors: np.ndarray) -> bool:
 
 
 def _waterfill(ratings: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """best_response_to_mass on float vectors of one shape, both nonnegative."""
+    """best_response_to_mass on nonempty float vectors of one shape, both nonnegative."""
     m = ratings.size
     allocation = np.zeros(m)
     supported = ratings > 0
@@ -142,9 +142,9 @@ def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> 
     """
     ratings = np.asarray(trust, dtype=float)
     belief = np.asarray(belief, dtype=float)
-    if ratings.shape != belief.shape or ratings.ndim != 1:
-        raise ValueError("trust and belief must be vectors of equal length")
-    if ratings.size and not _finite_nonnegative(ratings, belief):  # an empty pair is degenerate
+    if ratings.shape != belief.shape or ratings.ndim != 1 or ratings.size == 0:
+        raise ValueError("trust and belief must be nonempty vectors of equal length")
+    if not _finite_nonnegative(ratings, belief):
         raise ValueError("trust and belief must be finite and nonnegative")
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")

@@ -36,10 +36,7 @@ class Config:
     iteration budget, and tol the L1 step at which power iteration stops.
     tol bounds the last step, not the error: on the user chain, which
     contracts by 1 - alpha per step, the L1 error is bounded only by
-    (1 - alpha) / alpha * tol, that is 19 * tol at alpha = 0.05.  The user
-    chain's iteration starts from 1^T (I + (1 - alpha) E_u), normalized: the
-    stationary vector itself when E_u^2 = 0 (one step), the uniform vector
-    when E_u = 0.
+    (1 - alpha) / alpha * tol, that is 19 * tol at alpha = 0.05.
     """
 
     alpha: float = 0.15

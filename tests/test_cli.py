@@ -328,6 +328,14 @@ def test_trials_below_one_exits_2(scenario, tmp_path, command, trials):
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_trials_not_an_integer_exits_2(scenario, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["noisy", str(scenario), "--trials", "x", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --trials: invalid int value: 'x'\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -356,6 +364,16 @@ def test_noisy_bad_p_or_delta_exits_2(scenario, tmp_path, capsys, bad):
     assert not (tmp_path / "noisy.csv").exists()  # checked before the sweep runs
 
 
+def test_noisy_margin_failure_after_a_good_level_writes_no_file(scenario, tmp_path, capsys):
+    # 0.01 runs its f2 check and its sweep before 0.3 fails on trust 0.8
+    out = tmp_path / "out"
+    args = ["noisy", str(scenario), "--epsilon", "0.01", "--epsilon", "0.3", "--delta", "0.05"]
+    assert main(args + ["--trials", "2", "--out", str(out)]) == 2
+    message = "trust values within 0.3 of 0 or 1 cannot take symmetric noise"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--delta", "0.05"]], ids=["sweep", "f2"])
 def test_noisy_nan_epsilon_exits_2(scenario, tmp_path, capsys, extra):
     args = ["noisy", str(scenario), "--epsilon", "nan", "--trials", "2", "--out", str(tmp_path)]
@@ -366,8 +384,11 @@ def test_noisy_nan_epsilon_exits_2(scenario, tmp_path, capsys, extra):
 
 @pytest.mark.parametrize(
     "args",
-    [["nash", "--k", "0"], ["nash", "--n", "0"], ["noisy", "--n", "0"]],
-    ids=["nash-k0", "nash-n0", "noisy-n0"],
+    [
+        ["nash", "--k", "0"], ["nash", "--n", "0"], ["noisy", "--n", "0"],
+        ["noisy", "--n", "1", "--delta", "0.05"],  # f2_check's player count
+    ],
+    ids=["nash-k0", "nash-n0", "noisy-n0", "noisy-n1-f2"],
 )
 def test_zero_overrides_exit_2(scenario, tmp_path, capsys, args):
     command, *override = args

@@ -4,8 +4,10 @@ exception type and message, and accepts what it accepted before.
 The table was recorded from the code before the per-trial kernels, so a
 cheaper check that lets a bad input through, rejects a good one, or words
 its error differently fails here.  The best responses have since rejected
-non-finite and negative entries, and f1 and the noise generators anything
-but a nonempty vector, where these inputs once reached the arithmetic.
+non-finite and negative entries and an empty pair, and f1 and the noise
+generators anything but a nonempty vector, where these inputs once reached
+the arithmetic.  OTHER also pins the input checks of the other public
+functions that a trial or a command calls.
 NumPy's warnings are raised as errors inside the test, so an input that
 gets past every check into the arithmetic and warns fails here too.
 """
@@ -15,15 +17,18 @@ import warnings
 import numpy as np
 import pytest
 
-from trep.decoder import decode, noisy_belief_two_point
+from trep.bootstrap import honest_majority_check
+from trep.decoder import count_inversions, decode, f2_check, noisy_belief_two_point
 from trep.equilibrium import (
     DegenerateBelief,
     best_response_closed_form,
     best_response_to_mass,
+    epsilon_prime_bound,
     measure_epsilon_prime,
 )
-from trep.game import f1
-from trep.repgraph import RepGraph, validate
+from trep.game import expected_utilities, f1
+from trep.pagerank import clique_chain, stationary
+from trep.repgraph import Config, RepGraph, validate
 from trep.rng import substream
 
 nan, inf = np.nan, np.inf
@@ -43,9 +48,9 @@ BAD = {
 NORMALIZE = "cannot normalize a vector without positive, finite mass"
 NOT_A_VECTOR = "cannot normalize anything but a nonempty vector"
 NEGATIVE = "cannot normalize a vector with negative entries"
-BR_SHAPE = "trust and opponent mass must be vectors of equal length"
+BR_SHAPE = "trust and opponent mass must be nonempty vectors of equal length"
 BR_SIGN = "trust and opponent mass must be finite and nonnegative"
-CF_SHAPE = "trust and belief must be vectors of equal length"
+CF_SHAPE = "trust and belief must be nonempty vectors of equal length"
 CF_SIGN = "trust and belief must be finite and nonnegative"
 DISJOINT = "trust and belief share no supported server"
 TRUST_RANGE = "trust values must lie in [0, 1]"
@@ -112,12 +117,12 @@ CALLS = {
     ("noisy_belief_two_point", "trust"): lambda v: noisy_belief_two_point(v, 0.01, substream(0)),
 }
 
-# Calls that are not one bad vector: wrong shapes, n < 2, a bad epsilon.
+# Calls that are not one bad vector: wrong shapes, n < 2, a bad epsilon, and
+# the checks of the other public functions.
 OTHER = {
     "best_response_to_mass/unequal-lengths": (lambda: best_response_to_mass(OK, OK[:2]), BR_SHAPE),
-    "best_response_to_mass/both-empty": (
-        lambda: best_response_to_mass([], []), (ZeroDivisionError, "float division by zero"),
-    ),
+    "best_response_to_mass/both-empty": (lambda: best_response_to_mass([], []), BR_SHAPE),
+    "best_response_closed_form/both-empty": (lambda: best_response_closed_form([], [], 3), CF_SHAPE),
     "best_response_closed_form/n1": (lambda: best_response_closed_form(OK, OK, 1), PLAYERS),
     "best_response_closed_form/disjoint-support": (
         lambda: best_response_closed_form([0.5, 0, 0], [0, 0.5, 0.2], 3),
@@ -136,6 +141,40 @@ OTHER = {
     ),
     "noisy_belief_two_point/-inf-epsilon": (
         lambda: noisy_belief_two_point(OK, -inf, substream(0)), "epsilon must be nonnegative",
+    ),
+    "count_inversions/unequal-lengths": (
+        lambda: count_inversions(OK, OK[:2]), "rho and trust must be vectors of equal length",
+    ),
+    "f2_check/no-trials": (lambda: f2_check(OK, 0.01, 0.0, 0.05, trials=0), "need at least one trial"),
+    "f2_check/n1": (lambda: f2_check(OK, 0.01, 0.0, 0.05, trials=1, n=1), PLAYERS),
+    "epsilon_prime_bound/n1": (lambda: epsilon_prime_bound(3, 1, 0.01), PLAYERS),
+    "expected_utilities/pot-shape": (  # a profile of n = 2 users and m = 2 servers
+        lambda: expected_utilities(np.full((2, 4), 0.25), OK, Config()),
+        "trust has shape (3,), expected (2,)",
+    ),
+    "clique_chain/one-entry": (
+        lambda: clique_chain([0.5]), "ratings must be a vector of at least two entries",
+    ),
+    "clique_chain/no-positive-entry": (
+        lambda: clique_chain([0.0, 0.0]), "ratings must be nonnegative with a positive entry",
+    ),
+    "stationary/not-square": (
+        lambda: stationary(np.full((2, 3), 1 / 3), Config()),
+        "transition matrix must be square, got shape (2, 3)",
+    ),
+    "stationary/negative-entry": (
+        lambda: stationary(np.array([[1.5, -0.5], [0.5, 0.5]]), Config()),
+        "transition matrix has negative entries",
+    ),
+    "stationary/row-sum": (
+        lambda: stationary(np.array([[0.5, 0.4], [0.5, 0.5]]), Config()),
+        "transition matrix rows must sum to 1",
+    ),
+    "honest_majority_check/empty-committee": (
+        lambda: honest_majority_check([], [1, 0]), "committee is empty",
+    ),
+    "substream/negative-component": (
+        lambda: substream(0, "trial", -1), "stream path components must be non-negative, got -1",
     ),
 }
 

@@ -1,9 +1,14 @@
 """Fixed commands write the same bytes as their goldens (tests/goldens.py)."""
 
+import os
+import subprocess
+import sys
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
+import trep.cli
 from goldens import CASES, GOLDEN, run_case
 
 
@@ -35,3 +40,21 @@ def test_outputs_match_golden_bytes(case):
     ]
     differences = [d for d in differences if d is not None]
     assert not differences, "\n".join(differences)
+
+
+@pytest.mark.parametrize("case", ["decode/criterion11", "decode/servers-untrusted"])
+def test_the_module_entry_point_exits_with_the_golden_status_and_bytes(case, tmp_path):
+    # run_case calls main() in-process; this runs `python -m trep.cli`, so the
+    # exit status a shell sees (sys.exit(main())) is checked too.
+    command, *args = CASES[case]
+    golden = GOLDEN / case
+    env = dict(os.environ, PYTHONPATH=str(Path(trep.cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "trep.cli", command, str(golden / "scenario.trep"), *args]
+    run = subprocess.run([*argv, "--out", str(tmp_path)], env=env, capture_output=True)
+    assert f"{run.returncode}\n".encode() == (golden / "exit_code.txt").read_bytes()
+    assert run.stdout == (golden / "stdout.txt").read_bytes()
+    assert run.stderr == (golden / "stderr.txt").read_bytes()
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in golden.glob("*.csv"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()

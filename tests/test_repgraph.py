@@ -100,6 +100,14 @@ def test_validate_checks_trust_range():
     assert any("trust" in v for v in validate(zero))
 
 
+def test_validate_reports_no_servers_and_a_trust_vector_of_the_wrong_shape():
+    users_only = RepGraph(n=2, m=0, edges=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert validate(users_only) == ["m must be at least 1, got 0"]
+    g = bipartite_graph()
+    three = RepGraph(n=g.n, m=g.m, edges=g.edges, trust=np.array([0.5, 0.5, 0.5]))
+    assert validate(three) == ["trust vector has shape (3,), expected (2,)"]
+
+
 def test_validate_builds_no_dense_row_for_an_edgeless_user():
     n = 50_000
     graph = RepGraph.from_coo(n, 1, [0], [0], [1.0])
@@ -576,6 +584,20 @@ def _scenario(edges, n=2):
 @example(_scenario(["edge 1 1 1#x", "edge 2 1 1"]))
 @example(_scenario(["edge 1 1 1  # caf\u00e9 \u00fcber", "edge 2 1 1"]))
 @example("# generated\n" + _scenario(["edge 1 1 1", "edge 2 1 1"]))
+# every ParseError of the declarations, each with its line number, and the
+# three missing-declaration errors, which no random file reaches
+@example("trep v1\nusers 2 3\nservers 1\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers 1\nalpha 0.1 0.2\n")
+@example("trep v1\nusers 2\ntrust 0.5\nservers 1\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers 2\ntrust 0.5\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers 1\ntrust 1.5\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers 2\ntrust 0 0\nalpha 0.15\n")
+@example("")
+@example("trep v1\nusers 2\nalpha 0.15\n")
+@example("trep v1\nusers 2\nservers 1\nedge 1 1 1\nedge 2 1 1\n")
+# no servers: validate's message, after the bulk path read the user edges
+@example("trep v1\nusers 2\nservers 0\nalpha 0.15\nedge 1 2 1\nedge 2 1 1\n")
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     # load converts edge lines in bulk and falls back to the line loop on any
     # failure; either way it must agree with the dense line-by-line oracle:
