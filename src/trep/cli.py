@@ -46,9 +46,12 @@ def _trial_count(text: str) -> int:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    # mkdir(exist_ok=True) raises and catches FileExistsError on an existing
+    # directory, so one stat comes first; on a file it still raises that error
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _load_scenario(args) -> tuple:

@@ -69,6 +69,8 @@ def clique_chain(ratings: np.ndarray) -> np.ndarray:
         raise ValueError("ratings must be a vector of at least two entries")
     if np.any(ratings < 0) or not np.any(ratings > 0):
         raise ValueError("ratings must be nonnegative with a positive entry")
+    if not np.isfinite(ratings).all():  # NaN and inf pass both checks above
+        raise ValueError("ratings must be finite")
     row = ratings / ratings.sum()
     return np.tile(row, (ratings.size, 1))
 

@@ -215,11 +215,16 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     """
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
+    keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
+    rows, cols, weights = rows[keep], cols[keep], weights[keep]
     totals = np.bincount(rows, weights, minlength=n)
     drift = np.abs(totals - 1.0)
     drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[rows]
     weights[drifting] /= totals[rows[drifting]]
-    graph = RepGraph.from_coo(n, m, rows, cols, weights, trust)
+    # Both parsers proved the edges in range, sorted by row then column and
+    # each pair at most once, so from_coo would only check that again
+    graph = RepGraph.__new__(RepGraph)
+    graph._fill(n, m, rows, cols, weights, trust)
     _require_valid(graph)
     return graph, Config(alpha=alpha)
 
@@ -268,10 +273,12 @@ def _parse_bulk(text: str) -> tuple | None:
     if not in_range or np.any(weights < 0):
         return None
     keys = rows * (m + n) + cols
-    order = np.argsort(keys)
-    if np.any(np.diff(keys[order]) == 0):
-        return None
-    return n, m, alpha, trust, rows[order], cols[order], weights[order]
+    if not (np.diff(keys) > 0).all():  # a file save() wrote is sorted: one diff proves it
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
+            return None
+        rows, cols, weights = rows[order], cols[order], weights[order]
+    return n, m, alpha, trust, rows, cols, weights
 
 
 def _read_edges(lines: list[str]) -> np.ndarray | None:

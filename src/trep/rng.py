@@ -19,13 +19,18 @@ def substream(seed: int, *path: int | str) -> np.random.Generator:
     32-bit keys.  Two calls with the same (seed, path) always produce the same
     stream; distinct paths produce statistically independent streams.
     """
-    keys: list[int] = []
+    words: list[int] = []  # the uint32 words SeedSequence splits the keys into, low word first
     for part in (seed, *path):
         if isinstance(part, str):
-            keys.append(zlib.crc32(part.encode("utf-8")))
+            words.append(zlib.crc32(part.encode("utf-8")))
         else:
             value = int(part)
             if value < 0:
                 raise ValueError(f"stream path components must be non-negative, got {value}")
-            keys.append(value)
-    return np.random.default_rng(np.random.SeedSequence(keys))
+            words.append(value & 0xFFFFFFFF)
+            while value > 0xFFFFFFFF:
+                value >>= 32
+                words.append(value & 0xFFFFFFFF)
+    # default_rng(SeedSequence(keys)): the same streams, without the conversions
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(entropy))

@@ -57,21 +57,23 @@ CASES = {
 }
 
 
-def run_case(case: str) -> dict[str, bytes]:
-    """Run one case's command in-process: its stdout, stderr, exit code and
-    every file it wrote, by name."""
+def run_case(case: str, out: Path | None = None) -> dict[str, bytes]:
+    """Run one case's command in-process, into out or a fresh temporary
+    directory: its stdout, stderr, exit code and every file in out, by name."""
+    if out is None:
+        with tempfile.TemporaryDirectory() as fresh:
+            return run_case(case, Path(fresh))
     args = CASES[case]
     scenario = GOLDEN / case / "scenario.trep"
-    with tempfile.TemporaryDirectory() as out:
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([args[0], str(scenario), *args[1:], "--out", out])
-        outputs = {
-            "stdout.txt": stdout.getvalue().encode("utf-8"),
-            "stderr.txt": stderr.getvalue().encode("utf-8"),
-            "exit_code.txt": f"{code}\n".encode("utf-8"),
-        }
-        outputs.update((path.name, path.read_bytes()) for path in sorted(Path(out).iterdir()))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([args[0], str(scenario), *args[1:], "--out", str(out)])
+    outputs = {
+        "stdout.txt": stdout.getvalue().encode("utf-8"),
+        "stderr.txt": stderr.getvalue().encode("utf-8"),
+        "exit_code.txt": f"{code}\n".encode("utf-8"),
+    }
+    outputs.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
     return outputs
 
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -99,6 +100,34 @@ def test_decode_reads_a_file_with_a_byte_order_mark(scenario, tmp_path, capsys):
     assert main(["decode", str(scenario), "--out", str(tmp_path / "plain")]) == 0
     marked_csv = (tmp_path / "marked" / "decode.csv").read_bytes()
     assert marked_csv == (tmp_path / "plain" / "decode.csv").read_bytes()
+
+
+COMMANDS = {
+    "decode": ["decode"],
+    "nash": ["nash", "--trials", "3"],
+    "noisy": ["noisy", "--trials", "2", "--delta", "0.05"],
+    "bootstrap": ["bootstrap", "--trials", "2", "--committee", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_out_naming_a_file_exits_2_and_writes_nothing(scenario, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"kept\n")
+    before = sorted(tmp_path.iterdir())
+    name, *args = COMMANDS[command]
+    assert main([name, str(scenario), *args, "--out", str(taken)]) == 2
+    exists = FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(taken))
+    assert capsys.readouterr() == ("", f"error: {exists}\n")
+    assert taken.read_bytes() == b"kept\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_missing_nested_out_is_created(scenario, tmp_path):
+    out = tmp_path / "runs" / "seed-17" / "bootstrap"
+    name, *args = COMMANDS["bootstrap"]
+    assert main([name, str(scenario), *args, "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["bootstrap.csv", "bootstrap.log"]
 
 
 def test_decode_malformed_file_exits_2(tmp_path, capsys):

@@ -158,6 +158,9 @@ OTHER = {
     "clique_chain/no-positive-entry": (
         lambda: clique_chain([0.0, 0.0]), "ratings must be nonnegative with a positive entry",
     ),
+    # NaN and inf pass the two checks above; the chain came out NaN
+    "clique_chain/nan": (lambda: clique_chain([nan, 0.5]), "ratings must be finite"),
+    "clique_chain/inf": (lambda: clique_chain([inf, 0.5]), "ratings must be finite"),
     "stationary/not-square": (
         lambda: stationary(np.full((2, 3), 1 / 3), Config()),
         "transition matrix must be square, got shape (2, 3)",

@@ -21,6 +21,15 @@ def first_difference(name: str, got: bytes, golden: bytes) -> str | None:
     return None
 
 
+def pinned(case: str) -> list[str]:
+    """The names of every output a case's golden holds."""
+    return sorted(path.name for path in (GOLDEN / case).iterdir() if path.name != "scenario.trep")
+
+
+# the files each case's command writes, beside its stdout, stderr and exit code
+WRITTEN = {case: [name for name in pinned(case) if not name.endswith(".txt")] for case in CASES}
+
+
 def test_first_difference_names_the_line_and_both_bytes():
     assert first_difference("a.csv", b"x\ny\n", b"x\ny\n") is None
     assert first_difference("a.csv", b"x\n1.5\n", b"x\n1.25\n") == (
@@ -32,14 +41,25 @@ def test_first_difference_names_the_line_and_both_bytes():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_bytes(case):
     outputs = run_case(case)
-    pinned = sorted(path.name for path in (GOLDEN / case).iterdir() if path.name != "scenario.trep")
-    assert sorted(outputs) == pinned, "the command wrote other files than its golden holds"
+    assert sorted(outputs) == pinned(case), "the command wrote other files than its golden holds"
     differences = [
         first_difference(f"{case}/{name}", data, (GOLDEN / case / name).read_bytes())
         for name, data in outputs.items()
     ]
     differences = [d for d in differences if d is not None]
     assert not differences, "\n".join(differences)
+
+
+@pytest.mark.parametrize("case", sorted(case for case, names in WRITTEN.items() if names))
+def test_a_run_over_longer_files_of_the_same_names_leaves_the_golden_bytes(case, tmp_path):
+    # Each output file is replaced, not written over in place: a stale file
+    # longer than the new one must leave no tail behind.
+    for name in WRITTEN[case]:
+        (tmp_path / name).write_bytes((GOLDEN / case / name).read_bytes() * 2 + b"stale\n")
+    outputs = run_case(case, tmp_path)
+    assert sorted(outputs) == pinned(case)
+    for name, data in outputs.items():
+        assert data == (GOLDEN / case / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("case", ["decode/criterion11", "decode/servers-untrusted"])

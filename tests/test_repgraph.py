@@ -596,6 +596,11 @@ def _scenario(edges, n=2):
 @example("")
 @example("trep v1\nusers 2\nalpha 0.15\n")
 @example("trep v1\nusers 2\nservers 1\nedge 1 1 1\nedge 2 1 1\n")
+# already sorted, as every file save() writes, so one diff proves the order:
+# a zero weight (dropped; valid: bulk path) and a target out of range, which
+# the line loop still reports at its line
+@example(_scenario(["edge 1 1 1", "edge 2 1 1", "edge 2 3 0"]))
+@example(_scenario(["edge 1 1 1", "edge 2 4 1"]))
 # no servers: validate's message, after the bulk path read the user edges
 @example("trep v1\nusers 2\nservers 0\nalpha 0.15\nedge 1 2 1\nedge 2 1 1\n")
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
@@ -621,6 +626,37 @@ def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     np.testing.assert_array_equal(graph.edges, edges)
     # every file the oracle accepts takes the bulk path, not the fallback
     assert _parse_bulk(text) is not None
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sorted_and_shuffled_files_load_to_the_same_arrays(tmp_path_factory, seed):
+    # A sorted file takes one diff and a shuffled one the argsort; both must
+    # drop the same zero weights and renormalize the same drifting rows.
+    # The oracle strategy permutes the edges, so it rarely draws a sorted file.
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+    edges = []
+    for i in range(1, n + 1):
+        zeros = int(rng.integers(0, 2))
+        k = int(rng.integers(1, m + n + 1 - zeros))
+        targets = np.sort(rng.choice(m + n, size=k + zeros, replace=False)) + 1
+        drift = rng.choice([0.0, 3e-10, -5e-11])
+        weights = rng.permutation(np.append(rng.dirichlet(np.ones(k)) * (1.0 + drift), np.zeros(zeros)))
+        edges += [f"edge {i} {j} {w!r}" for j, w in zip(targets.tolist(), weights.tolist())]
+    header = f"trep v1\nusers {n}\nservers {m}\nalpha 0.15\n"
+    directory = tmp_path_factory.mktemp("order")
+    graphs = []
+    for name, lines in [("sorted", edges), ("shuffled", rng.permutation(edges).tolist())]:
+        text = header + "".join(line + "\n" for line in lines)
+        assert _parse_bulk(text) is not None
+        (directory / name).write_text(text, encoding="utf-8")
+        graphs.append(load(directory / name)[0])
+    sorted_graph, shuffled_graph = graphs
+    for field in ("rows", "cols", "weights"):
+        got, expected = getattr(shuffled_graph, field), getattr(sorted_graph, field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+    np.testing.assert_array_equal(sorted_graph.edges, load_oracle(directory / "sorted")[-1])
 
 
 # -------------------------------------------------------------------- config
