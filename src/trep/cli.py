@@ -255,11 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), mostly without the top-level parse.
+
+    An argv that starts with a subcommand goes straight to that subcommand's
+    parser, which is all the top-level parse would hand it to.  Only an argv
+    that leaves arguments over is parsed again in full, so that they are
+    reported with the top-level usage, as are the errors of every other argv.
+    """
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = action.choices.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _parse(_PARSER, sys.argv[1:] if argv is None else list(argv))
     # Looked up by name at each call, not bound in the long-lived parser, so
     # a rebinding of cmd_* in this module (a tracer, a test) takes effect.
     command = globals()[f"cmd_{args.command}"]

@@ -7,6 +7,7 @@ the remaining n columns endorse users.  Servers own no edges.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import warnings
 from dataclasses import dataclass
@@ -209,11 +210,12 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
     is built: NumPy's text reader converts the edge lines to the edge list,
     comments and all, in one call when every declaration precedes the first
-    edge line and in a second when one follows it; 1_0, non-ASCII digits and
-    the other tokens it cannot read as int and float do go to the line loop
-    (see _parse_bulk).
+    edge line and in a second when one follows it; 1_0, non-ASCII digits,
+    NaN weights and the other tokens it cannot read as int and float do go
+    to the line loop, the only error reporter (see _parse_bulk).
     """
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+        text = fh.read()
     n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
     keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
@@ -242,9 +244,9 @@ def _parse_bulk(text: str) -> tuple | None:
     accepts gets the builtins' value.  Any failed check returns None, and the
     line loop parses the file again and reports the first error at its line;
     so do tokens the reader rejects but the builtins accept (1_0, non-ASCII
-    digits) and edge lines holding, before any #, a NUL or a non-ASCII
-    character other than whitespace, since the reader drops a key's trailing
-    NULs and takes some such characters for digits.
+    digits), NaN weights, and edge lines holding, before any #, a NUL or a
+    non-ASCII character other than whitespace, since the reader drops a key's
+    trailing NULs and takes some such characters for digits.
     """
     lines = text.splitlines()
     first = next((k for k, line in enumerate(lines) if line.lstrip().startswith("edge")), None)
@@ -253,6 +255,8 @@ def _parse_bulk(text: str) -> tuple | None:
     header, edges = lines[:first], lines[first:]
     table = _read_edges(edges)
     if table is None:  # a declaration follows the first edge line, or an edge line is bad
+        if not {"users", "servers"} <= {line.split()[0] for line in header if line.strip()}:
+            return None  # the line loop wants both before the first edge line
         edges = []
         for line in lines[first:]:
             (edges if line.lstrip().startswith("edge") else header).append(line)
@@ -260,17 +264,18 @@ def _parse_bulk(text: str) -> tuple | None:
         if table is None:
             return None
     try:
-        n, m, alpha, trust, *_ = _parse_lines("\n".join(header))
+        n, m, alpha, trust, _ = _scan_lines("\n".join(header))
     except ParseError:
         return None
-    declared = {line.split()[0] for line in lines[:first] if line.strip()}
-    if not {"users", "servers"} <= declared or n * (m + n) >= 2**62:  # keys overflow
+    if n * (m + n) >= 2**62:  # keys overflow
         return None
     if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.match, edges)):
         return None
     rows, cols, weights = table["source"] - 1, table["target"] - 1, table["weight"]
-    in_range = rows.min() >= 0 and rows.max() < n and cols.min() >= 0 and cols.max() < m + n
-    if not in_range or np.any(weights < 0):
+    # a negative index reads as a huge unsigned one, so one maximum per array
+    # checks its range; a NaN weight fails the sign test
+    in_range = rows.view(np.uintp).max() < n and cols.view(np.uintp).max() < m + n
+    if not (in_range and weights.min() >= 0):
         return None
     keys = rows * (m + n) + cols
     if not (np.diff(keys) > 0).all():  # a file save() wrote is sorted: one diff proves it
@@ -281,11 +286,25 @@ def _parse_bulk(text: str) -> tuple | None:
     return n, m, alpha, trust, rows, cols, weights
 
 
+@contextlib.contextmanager
+def _warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+_READER_GUARD = (
+    _warnings_as_errors if np.lib.NumpyVersion(np.__version__) < "2.0.0" else contextlib.nullcontext
+)
+
+
 def _read_edges(lines: list[str]) -> np.ndarray | None:
-    """NumPy's text reader's table of these lines; None if it refuses one or a key is not edge."""
+    """NumPy's text reader's table of these lines; None if it refuses one or a key is not edge.
+
+    Only NumPy < 2 warns (it reads 1.0 as an integer), so only there are warnings errors.
+    """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # NumPy < 2 reads 1.0 as an integer, with a warning
+        with _READER_GUARD():
             table = np.loadtxt(lines, _EDGE_LINE, comments="#", ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
@@ -298,6 +317,15 @@ def _parse_lines(text: str) -> tuple:
     Parses line by line; every grammar violation raises ParseError with its
     line number.
     """
+    n, m, alpha, trust, entries = _scan_lines(text)
+    keys = sorted(entries)
+    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
+    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
+    return n, m, alpha, trust, rows, cols, np.array([entries[k] for k in keys], dtype=float)
+
+
+def _scan_lines(text: str) -> tuple:
+    """_parse_lines with the edges as a dict by 1-based (source, target), unsorted."""
     n = m = None
     alpha: float | None = None
     trust: np.ndarray | None = None
@@ -372,10 +400,7 @@ def _parse_lines(text: str) -> tuple:
         raise ParseError("missing users/servers declaration")
     if alpha is None:
         raise ParseError("missing alpha declaration")
-    keys = sorted(entries)
-    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
-    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
-    return n, m, alpha, trust, rows, cols, np.array([entries[k] for k in keys], dtype=float)
+    return n, m, alpha, trust, entries
 
 
 def save(graph: RepGraph, config: Config, path: str | Path) -> None:

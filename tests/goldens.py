@@ -1,10 +1,12 @@
 """Golden outputs of fixed CLI commands, compared byte for byte by
 tests/test_golden.py, and the script that rewrites them.
 
-Each case is a directory under tests/golden/<command>/ holding its scenario
-file (`scenario.trep`) and the outputs of the command run on it:
-`stdout.txt`, `stderr.txt`, `exit_code.txt` and every file the command
-writes, so a failing command is pinned too.  Regenerate all of them with
+Each case is a directory under tests/golden/<command>/ (tests/golden/usage/
+for an argv the parser refuses) holding its scenario file (`scenario.trep`)
+and the outputs of the command run on it: `stdout.txt`, `stderr.txt`,
+`exit_code.txt` and every file the command writes, so a failing command is
+pinned too; argparse's usage text is wrapped at 80 columns.  Regenerate all
+of them with
 
     PYTHONPATH=src python tests/goldens.py
 
@@ -15,8 +17,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from trep.cli import main
 
@@ -54,6 +58,13 @@ CASES = {
     ],
     # delta beyond ||trust||_1 = 1.2: the f2 check fails before any file, exit 2
     "noisy/delta-too-large": ["noisy", "--delta", "5"],
+    # argparse's usage errors, exit 2: the arguments the nash parser leaves
+    # over, reported with the top-level usage; a value the nash parser
+    # refuses, with its own usage; and an unknown command
+    "usage/nash-unknown-option": ["nash", "--bogus"],
+    "usage/nash-extra-argument": ["nash", "extra"],
+    "usage/nash-trials-zero": ["nash", "--trials", "0"],
+    "usage/unknown-command": ["bogus"],
 }
 
 
@@ -66,8 +77,12 @@ def run_case(case: str, out: Path | None = None) -> dict[str, bytes]:
     args = CASES[case]
     scenario = GOLDEN / case / "scenario.trep"
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([args[0], str(scenario), *args[1:], "--out", str(out)])
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main([args[0], str(scenario), *args[1:], "--out", str(out)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     outputs = {
         "stdout.txt": stdout.getvalue().encode("utf-8"),
         "stderr.txt": stderr.getvalue().encode("utf-8"),

@@ -513,3 +513,64 @@ def test_rejection_of_every_row_stays_linear(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: row 1 sums to 0.5, expected 1; row 2 sums to 0.5, expected 1;")
     assert err.count("sums to 0.5, expected 1") == n
+
+
+# ------------------------------------------------------------ argv dispatch
+
+def _exit(parse, argv, capsys) -> tuple:
+    """The exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["nash", "--help"],
+        ["nash"],
+        ["nash", "s.trep", "--bogus"],
+        ["nash", "s.trep", "extra"],
+        ["nash", "s.trep", "--trials", "0"],
+        ["bogus", "s.trep"],
+    ],
+    ids=["empty", "help", "nash-help", "nash-no-scenario", "unknown-option", "extra", "bad-value", "bogus"],
+)
+def test_main_exits_as_the_full_parser_does(capsys, argv):
+    # a subcommand's argv skips the top-level parse, with the same exit and text
+    assert _exit(main, argv, capsys) == _exit(trep.cli.build_parser().parse_args, argv, capsys)
+
+
+def test_a_subcommand_argv_skips_the_top_level_parse(scenario, tmp_path, monkeypatch):
+    argv = ["decode", str(scenario), "--out", str(tmp_path)]
+    assert main(argv) == 0  # builds the shared parser
+    parsed = []
+    parse_args = trep.cli._PARSER.parse_args
+    monkeypatch.setattr(trep.cli._PARSER, "parse_args", lambda a: parsed.append(a) or parse_args(a))
+    assert main(argv) == 0
+    assert parsed == []
+    with pytest.raises(SystemExit):
+        main([*argv, "extra"])  # left over: parsed again in full, for the top-level usage
+    assert parsed == [[*argv, "extra"]]
+
+
+def test_main_reads_sys_argv_on_both_paths(scenario, tmp_path, monkeypatch, capsys):
+    argv = ["decode", str(scenario), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["trep", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(sys, "argv", ["trep", *argv, "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("\ntrep: error: unrecognized arguments: extra\n")
+    monkeypatch.setattr(sys, "argv", ["trep", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: trep [-h] {decode,nash,noisy,bootstrap} ...\n")

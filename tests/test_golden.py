@@ -62,10 +62,13 @@ def test_a_run_over_longer_files_of_the_same_names_leaves_the_golden_bytes(case,
         assert data == (GOLDEN / case / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("case", ["decode/criterion11", "decode/servers-untrusted"])
+@pytest.mark.parametrize(
+    "case", ["decode/criterion11", "decode/servers-untrusted", "usage/nash-unknown-option"]
+)
 def test_the_module_entry_point_exits_with_the_golden_status_and_bytes(case, tmp_path):
     # run_case calls main() in-process; this runs `python -m trep.cli`, so the
-    # exit status a shell sees (sys.exit(main())) is checked too.
+    # exit status a shell sees (sys.exit(main())) is checked too, and main()
+    # reads its argv from sys.argv, on a good parse and on a refused one.
     command, *args = CASES[case]
     golden = GOLDEN / case
     env = dict(os.environ, PYTHONPATH=str(Path(trep.cli.__file__).parents[1]))

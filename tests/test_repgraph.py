@@ -603,6 +603,12 @@ def _scenario(edges, n=2):
 @example(_scenario(["edge 1 1 1", "edge 2 4 1"]))
 # no servers: validate's message, after the bulk path read the user edges
 @example("trep v1\nusers 2\nservers 0\nalpha 0.15\nedge 1 2 1\nedge 2 1 1\n")
+# the range and sign checks of the bulk path: a NaN weight must refuse the
+# table too, or validate would report its row before the line loop reports
+# the negative weight below it; a negative index must not pass as in range
+@example(_scenario(["edge 1 1 nan", "edge 2 1 -1"]))
+@example(_scenario(["edge 1 1 1", "edge 2 -1 1"]))
+@example(_scenario(["edge -1 1 1", "edge 2 1 1"]))
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     # load converts edge lines in bulk and falls back to the line loop on any
     # failure; either way it must agree with the dense line-by-line oracle:
