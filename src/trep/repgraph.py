@@ -208,68 +208,84 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     structural violations (bad row sums, dangling users) raise ValueError.
     A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
-    is built: NumPy's text reader converts the edge lines to the edge list,
-    comments and all, in one call when every declaration precedes the first
-    edge line and in a second when one follows it; 1_0, non-ASCII digits,
-    NaN weights and the other tokens it cannot read as int and float do go
-    to the line loop, the only error reporter (see _parse_bulk).
+    is built.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         text = fh.read()
-    n, m, alpha, trust, rows, cols, weights = _parse_bulk(text) or _parse_lines(text)
+    n, m, alpha, trust, rows, cols, weights = _parse(text)
     keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
     totals = np.bincount(rows, weights, minlength=n)
     drift = np.abs(totals - 1.0)
     drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[rows]
     weights[drifting] /= totals[rows[drifting]]
-    # Both parsers proved the edges in range, sorted by row then column and
-    # each pair at most once, so from_coo would only check that again
+    # _parse proved the edges in range, sorted by row then column and each
+    # pair at most once, so from_coo would only check that again
     graph = RepGraph.__new__(RepGraph)
     graph._fill(n, m, rows, cols, weights, trust)
     _require_valid(graph)
     return graph, Config(alpha=alpha)
 
 
-def _parse_bulk(text: str) -> tuple | None:
-    """_parse_lines for a file whose edge lines are all valid, or None.
+def _parse(text: str) -> tuple:
+    """n, m, alpha, trust and the edge list of a scenario, sorted by row then column.
 
-    NumPy's text reader converts every line from the first edge line on in one
-    call, skipping blank lines and each line's text from its first #; the
-    declarations before that line go through the line loop.  A declaration
-    after the first edge line makes the reader refuse that table (its key is
-    not edge), so a second call converts the edge lines alone and such
-    declarations join the others.  The reader reads integers as a sign and
-    ASCII digits and floats with the routine float uses, so each token it
-    accepts gets the builtins' value.  Any failed check returns None, and the
-    line loop parses the file again and reports the first error at its line;
-    so do tokens the reader rejects but the builtins accept (1_0, non-ASCII
-    digits), NaN weights, and edge lines holding, before any #, a NUL or a
-    non-ASCII character other than whitespace, since the reader drops a key's
-    trailing NULs and takes some such characters for digits.
+    One pass: the line loop reads the lines before the first edge line,
+    NumPy's text reader converts the edge block, comments and all, in one
+    call, and should it refuse the block (a declaration among the edges;
+    1_0, non-ASCII digits, a NaN weight or any error: see _read_edges) the
+    line loop, the only error reporter, resumes at the first edge line.
+    Apart from load so that the lines and the reader's table die before
+    validate runs: alive, they cost a 2,000-user decode ~0.6 ms and 0.5 MB.
     """
     lines = text.splitlines()
-    first = next((k for k, line in enumerate(lines) if line.lstrip().startswith("edge")), None)
-    if first is None:
-        return None
-    header, edges = lines[:first], lines[first:]
-    table = _read_edges(edges)
-    if table is None:  # a declaration follows the first edge line, or an edge line is bad
-        if not {"users", "servers"} <= {line.split()[0] for line in header if line.strip()}:
-            return None  # the line loop wants both before the first edge line
-        edges = []
-        for line in lines[first:]:
-            (edges if line.lstrip().startswith("edge") else header).append(line)
-        table = _read_edges(edges)
-        if table is None:
-            return None
+    first = next((k for k, line in enumerate(lines) if line.lstrip().startswith("edge")), len(lines))
+    state = _scan_lines(lines[:first], 1, (None, None, None, None, {}, set(), False))
+    n, m = state[:2]
+    bulk = n is not None and m is not None and first < len(lines)
+    table = _read_edges(lines[first:], n, m, text) if bulk else None
+    if table is None:
+        state = _scan_lines(lines[first:], first + 1, state)
+    n, m, alpha, trust, entries, _, header_seen = state
+    if not header_seen:
+        raise ParseError("missing 'trep v1' header", 1)
+    if n is None or m is None:
+        raise ParseError("missing users/servers declaration")
+    if alpha is None:
+        raise ParseError("missing alpha declaration")
+    if table is not None:
+        return (n, m, alpha, trust, *table)
+    keys = sorted(entries)
+    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
+    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
+    return n, m, alpha, trust, rows, cols, np.array([entries[k] for k in keys], dtype=float)
+
+
+def _read_edges(lines: list[str], n: int, m: int, text: str) -> tuple | None:
+    """rows, cols and weights of the edge block, sorted by row then column; or None.
+
+    NumPy's text reader converts the lines in one call, skipping blank lines
+    and each line's text from its first #.  It reads integers as a sign and
+    ASCII digits and floats with the routine float uses, so each token it
+    accepts gets the builtins' value.  None, so that the line loop reads the
+    block and reports the first error at its line, when the reader refuses a
+    line, a key is not edge (a declaration follows the first edge line), an
+    index is out of range, a weight is negative or NaN, or a pair repeats;
+    so too for tokens the reader rejects but the builtins accept (1_0,
+    non-ASCII digits), and for edge lines holding, before any #, a NUL or a
+    non-ASCII character other than whitespace (looked for only when text,
+    the whole file, holds one): the reader drops a key's trailing NULs and
+    takes some such characters for digits.  Only NumPy < 2 warns (it reads
+    1.0 as an integer), so only there are warnings errors.
+    """
     try:
-        n, m, alpha, trust, _ = _scan_lines("\n".join(header))
-    except ParseError:
+        with _READER_GUARD():
+            table = np.loadtxt(lines, _EDGE_LINE, comments="#", ndmin=1)
+    except (ValueError, OverflowError, Warning):
         return None
-    if n * (m + n) >= 2**62:  # keys overflow
+    if not np.all(table["key"] == "edge"):
         return None
-    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.match, edges)):
+    if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.match, lines)):
         return None
     rows, cols, weights = table["source"] - 1, table["target"] - 1, table["weight"]
     # a negative index reads as a huge unsigned one, so one maximum per array
@@ -277,13 +293,13 @@ def _parse_bulk(text: str) -> tuple | None:
     in_range = rows.view(np.uintp).max() < n and cols.view(np.uintp).max() < m + n
     if not (in_range and weights.min() >= 0):
         return None
-    keys = rows * (m + n) + cols
+    keys = rows * (m + n) + cols  # below n * (m + n), which the line loop bounds below 2**62
     if not (np.diff(keys) > 0).all():  # a file save() wrote is sorted: one diff proves it
         order = np.argsort(keys)
         if np.any(np.diff(keys[order]) == 0):
             return None
         rows, cols, weights = rows[order], cols[order], weights[order]
-    return n, m, alpha, trust, rows, cols, weights
+    return rows, cols, weights
 
 
 @contextlib.contextmanager
@@ -298,41 +314,16 @@ _READER_GUARD = (
 )
 
 
-def _read_edges(lines: list[str]) -> np.ndarray | None:
-    """NumPy's text reader's table of these lines; None if it refuses one or a key is not edge.
+def _scan_lines(lines: list[str], lineno: int, state: tuple) -> tuple:
+    """The line loop: reads these lines, the first at lineno, on from state.
 
-    Only NumPy < 2 warns (it reads 1.0 as an integer), so only there are warnings errors.
+    The state, returned after the last line, is (n, m, alpha, trust, entries,
+    declared keys, header seen), the edges in entries as a dict by 1-based
+    (source, target), unsorted.  Every grammar violation raises ParseError
+    with its line number.
     """
-    try:
-        with _READER_GUARD():
-            table = np.loadtxt(lines, _EDGE_LINE, comments="#", ndmin=1)
-    except (ValueError, OverflowError, Warning):
-        return None
-    return table if np.all(table["key"] == "edge") else None
-
-
-def _parse_lines(text: str) -> tuple:
-    """n, m, alpha, trust and the row-sorted edge list of a scenario file.
-
-    Parses line by line; every grammar violation raises ParseError with its
-    line number.
-    """
-    n, m, alpha, trust, entries = _scan_lines(text)
-    keys = sorted(entries)
-    rows = np.array([i for i, _ in keys], dtype=np.intp) - 1
-    cols = np.array([j for _, j in keys], dtype=np.intp) - 1
-    return n, m, alpha, trust, rows, cols, np.array([entries[k] for k in keys], dtype=float)
-
-
-def _scan_lines(text: str) -> tuple:
-    """_parse_lines with the edges as a dict by 1-based (source, target), unsorted."""
-    n = m = None
-    alpha: float | None = None
-    trust: np.ndarray | None = None
-    entries: dict[tuple[int, int], float] = {}
-    declared: set[str] = set()
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    n, m, alpha, trust, entries, declared, header_seen = state
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -347,9 +338,9 @@ def _scan_lines(text: str) -> tuple:
             if key in declared:
                 raise ParseError(f"repeated {key} declaration", lineno)
             declared.add(key)
-        if key in ("users", "servers"):
-            if len(args) != 1:
+            if key != "trust" and len(args) != 1:
                 raise ParseError(f"{key} takes exactly one value", lineno)
+        if key in ("users", "servers"):
             count = _parse_number(int, args[0], key, lineno)
             if count < 0:
                 raise ParseError(f"{key} must be nonnegative, got {count}", lineno)
@@ -357,9 +348,9 @@ def _scan_lines(text: str) -> tuple:
                 n = count
             else:
                 m = count
+            if n is not None and m is not None and n * (m + n) >= 2**62:  # edge keys would overflow
+                raise ParseError(f"users {n} and servers {m} are too many: n * (m + n) >= 2**62", lineno)
         elif key == "alpha":
-            if len(args) != 1:
-                raise ParseError("alpha takes exactly one value", lineno)
             alpha = _parse_number(float, args[0], "alpha", lineno)
             if not 0.0 < alpha < 1.0:
                 raise ParseError(f"alpha must lie strictly between 0 and 1, got {alpha}", lineno)
@@ -394,13 +385,7 @@ def _scan_lines(text: str) -> tuple:
             entries[(i, j)] = w
         else:
             raise ParseError(f"unknown directive {key!r}", lineno)
-    if not header_seen:
-        raise ParseError("missing 'trep v1' header", 1)
-    if n is None or m is None:
-        raise ParseError("missing users/servers declaration")
-    if alpha is None:
-        raise ParseError("missing alpha declaration")
-    return n, m, alpha, trust, entries
+    return n, m, alpha, trust, entries, declared, header_seen
 
 
 def save(graph: RepGraph, config: Config, path: str | Path) -> None:

@@ -539,6 +539,8 @@ def load_oracle(path):
                 n = count
             else:
                 m = count
+            if n is not None and m is not None and n * (m + n) >= 2**62:
+                raise ParseError(f"users {n} and servers {m} are too many: n * (m + n) >= 2**62", lineno)
         elif key == "alpha":
             if len(args) != 1:
                 raise ParseError("alpha takes exactly one value", lineno)

@@ -130,6 +130,25 @@ def test_a_missing_nested_out_is_created(scenario, tmp_path):
     assert sorted(path.name for path in out.iterdir()) == ["bootstrap.csv", "bootstrap.log"]
 
 
+@pytest.mark.parametrize(
+    "declarations, counts",
+    [
+        ("users 100000000000000000000\nservers 1", "users 100000000000000000000 and servers 1"),
+        ("servers 100000000000000000000\nusers 2", "users 2 and servers 100000000000000000000"),
+    ],
+    ids=["users", "servers"],
+)
+def test_oversized_counts_exit_2_and_write_nothing(tmp_path, capsys, declarations, counts):
+    # n * (m + n) >= 2**62 would overflow the edge keys (and NumPy's counts
+    # before them), so the declaration that completes the pair is refused
+    path = tmp_path / "big.trep"
+    path.write_text(f"trep v1\n{declarations}\nalpha 0.15\nedge 1 1 1\nedge 2 1 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["decode", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: line 3: {counts} are too many: n * (m + n) >= 2**62\n")
+    assert not out.exists()
+
+
 def test_decode_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.trep"
     bad.write_text("trep v9\n", encoding="utf-8")

@@ -1,3 +1,6 @@
+import contextlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +11,47 @@ from trep.repgraph import (
     Config,
     ParseError,
     RepGraph,
-    _parse_bulk,
     load,
     save,
     validate,
 )
 
 from oracles import load_oracle, row_violations
+
+
+@contextlib.contextmanager
+def traced_load():
+    """Records what load does while open: `readers`, the NumPy text reader
+    calls; `tables`, whether each _read_edges call returned the edge list;
+    and `scans`, the line numbers each line-loop call reads, as ranges."""
+    trace = SimpleNamespace(readers=0, tables=[], scans=[])
+    loadtxt, read_edges, scan_lines = np.loadtxt, repgraph._read_edges, repgraph._scan_lines
+
+    def reader(*args, **kwargs):
+        trace.readers += 1
+        return loadtxt(*args, **kwargs)
+
+    def read(*args):
+        table = read_edges(*args)
+        trace.tables.append(table is not None)
+        return table
+
+    def scan(lines, lineno, state):
+        trace.scans.append(range(lineno, lineno + len(lines)))
+        return scan_lines(lines, lineno, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", reader)
+        patch.setattr(repgraph, "_read_edges", read)
+        patch.setattr(repgraph, "_scan_lines", scan)
+        yield trace
+
+
+def assert_one_pass(trace):
+    """The reader ran at most once, and the line loop read no line twice:
+    its calls took consecutive ranges from line 1."""
+    assert trace.readers <= 1
+    assert [scan.start for scan in trace.scans] == [1] + [scan.stop for scan in trace.scans[:-1]]
 
 
 def bipartite_edges(n=2, m=2, row=(0.5, 0.5)):
@@ -218,17 +255,15 @@ def test_load_rejects_bad_header(tmp_path):
         load(path)
 
 
-def test_load_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
+def test_load_drops_a_leading_byte_order_mark(tmp_path):
     # Some editors start a UTF-8 file with a byte-order mark.
     text = MINIMAL.replace("alpha 0.15\n", "alpha 0.15\ntrust 0.9 0.4\n")
     plain, marked = tmp_path / "plain.trep", tmp_path / "marked.trep"
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")
-    parsed = []
-    parse_bulk = repgraph._parse_bulk
-    monkeypatch.setattr(repgraph, "_parse_bulk", lambda t: parsed.append(parse_bulk(t)) or parsed[-1])
-    (graph, cfg), (expected, expected_cfg) = load(marked), load(plain)
-    assert len(parsed) == 2 and parsed[0] is not None  # the bulk path, not the fallback
+    with traced_load() as trace:
+        (graph, cfg), (expected, expected_cfg) = load(marked), load(plain)
+    assert trace.tables == [True, True]  # the bulk path, not the line loop
     assert (graph.n, graph.m, cfg) == (expected.n, expected.m, expected_cfg)
     np.testing.assert_array_equal(graph.trust, expected.trust)
     np.testing.assert_array_equal(graph.edges, expected.edges)
@@ -327,8 +362,9 @@ def test_load_renormalizes_every_drifting_row_in_bulk(tmp_path):
     )
     path = tmp_path / "drift.trep"
     path.write_text(text, encoding="utf-8")
-    assert _parse_bulk(text) is not None
-    graph, _ = load(path)
+    with traced_load() as trace:
+        graph, _ = load(path)
+    assert trace.tables == [True]
     np.testing.assert_array_equal(graph.rows, np.arange(n))
     np.testing.assert_array_equal(graph.cols, np.zeros(n))
     assert np.all(graph.weights == 1.0)
@@ -556,7 +592,7 @@ def _scenario(edges, n=2):
 # a line index past its end here)
 @example("trep v1\nusers 2\nservers 3\nalpha 0.5\nalpha 0.5\n")
 # where NumPy's text reader and the int and float builtins could differ
-@example("trep v1\nusers 2\nservers 1\nedge 1 1 1\nalpha 0.15\nedge 2 1 1\n")  # valid: bulk path
+@example("trep v1\nusers 2\nservers 1\nedge 1 1 1\nalpha 0.15\nedge 2 1 1\n")  # valid: a late declaration
 @example(_scenario(["edge +1 1 1", "edge 02 1 1"]))  # valid: bulk path
 @example(_scenario(["edge 1.0 1 1", "edge 2 1 1"]))
 @example(_scenario(["edge 1_0 1 1", "edge 2 1 1"]))
@@ -570,9 +606,11 @@ def _scenario(edges, n=2):
 # NumPy's reader takes U+01FE (Ǿ) for a digit and reads this source as 462
 @example(_scenario([f"edge {i} 1 1" for i in range(1, 462)] + ["edge \u01fe 1 1"], n=462))
 # the reader takes every line from the first edge line on: a four-token
-# declaration there reads as a row, and only its key sends the edge lines to
-# a second reader call (valid: bulk path)
+# declaration there reads as a row, and only its key makes the reader refuse
+# the block, which the line loop then reads (valid; in the second, the trust
+# line read as an edge would complete row 1, which the oracle rejects)
 @example("trep v1\nusers 2\nservers 3\nalpha 0.15\nedge 1 1 1\ntrust 1 1 1\nedge 2 2 1\n")
+@example("trep v1\nusers 2\nservers 3\nalpha 0.15\nedge 1 2 0.5\ntrust 1 1 0.5\nedge 2 2 1\n")
 # \x0b and \x1c end a line for splitlines (valid: bulk path)
 @example("trep v1\nusers 2\nservers 1\nalpha 0.15\x0bedge 1 1 1\nedge 2 1 1\n")
 @example("trep v1\nusers 2\nservers 1\nalpha 0.15\nedge 1 1 1\x1cedge 2 1 1\n")
@@ -609,14 +647,23 @@ def _scenario(edges, n=2):
 @example(_scenario(["edge 1 1 nan", "edge 2 1 -1"]))
 @example(_scenario(["edge 1 1 1", "edge 2 -1 1"]))
 @example(_scenario(["edge -1 1 1", "edge 2 1 1"]))
+# counts whose edge keys would overflow, n * (m + n) >= 2**62, refused at the
+# line that completes the pair, in either order and at the bound itself
+@example("trep v1\nusers 100000000000000000000\nservers 1\nalpha 0.15\nedge 1 1 1\n")
+@example("trep v1\nservers 100000000000000000000\nusers 2\nalpha 0.15\nedge 1 1 1\nedge 2 1 1\n")
+@example("trep v1\nusers 2147483648\nservers 0\nalpha 0.15\nedge 1 1 1\n")
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
-    # load converts edge lines in bulk and falls back to the line loop on any
-    # failure; either way it must agree with the dense line-by-line oracle:
-    # the same graph (weights bit-equal; a -0.0 weight reads +0.0, as zero
-    # weights are dropped), or the same error type, message and line number.
+    # load converts the edge block in bulk and, should that fail, resumes the
+    # line loop there; either way it must agree with the dense line-by-line
+    # oracle: the same graph (weights bit-equal; a -0.0 weight reads +0.0, as
+    # zero weights are dropped), or the same error type, message and line
+    # number.  Either way it reads the file in one pass.
     path = tmp_path_factory.getbasetemp() / "property.trep"
     path.write_text(text, encoding="utf-8")
-    expected, got = _outcome(load_oracle, path), _outcome(load, path)
+    expected = _outcome(load_oracle, path)
+    with traced_load() as trace:
+        got = _outcome(load, path)
+    assert_one_pass(trace)
     if isinstance(expected, Exception):
         assert type(got) is type(expected)
         assert str(got) == str(expected)
@@ -630,8 +677,44 @@ def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     if trust is not None:
         np.testing.assert_array_equal(graph.trust, trust)
     np.testing.assert_array_equal(graph.edges, edges)
-    # every file the oracle accepts takes the bulk path, not the fallback
-    assert _parse_bulk(text) is not None
+    # every file the oracle accepts takes the bulk path, unless a declaration
+    # follows its first edge line: then the reader refuses the edge block and
+    # the line loop resumes there
+    lines = text.splitlines()
+    first = next(k for k, line in enumerate(lines) if line.lstrip().startswith("edge"))
+    header, block = range(1, first + 1), range(first + 1, len(lines) + 1)
+    if any(line.split("#", 1)[0].split()[:1] in DECLARATIONS for line in lines[first:]):
+        assert (trace.tables, trace.scans) == ([False], [header, block])
+    else:
+        assert (trace.tables, trace.scans) == ([True], [header])
+
+
+@pytest.mark.parametrize(
+    "text, tables, scans",
+    [
+        (_scenario(["edge 1 1 1", "edge 2 1 1"]), [True], [range(1, 5)]),
+        (_scenario(["edge 1 1 1", "edge 2 1 nan"]), [False], [range(1, 5), range(5, 7)]),
+        (
+            "trep v1\nusers 2\nservers 1\nedge 1 1 1\nedge 2 1 1\nalpha 0.15\n",
+            [False],
+            [range(1, 4), range(4, 7)],
+        ),
+    ],
+    ids=["sorted", "last-weight-nan", "late-alpha"],
+)
+def test_load_reads_each_line_once(tmp_path, text, tables, scans):
+    # The reader converts the edge block once, and should it refuse the block
+    # the line loop resumes at its first line instead of starting over.
+    path = tmp_path / "g.trep"
+    path.write_text(text, encoding="utf-8")
+    with traced_load() as trace:
+        got = _outcome(load, path)
+    assert (trace.readers, trace.tables, trace.scans) == (1, tables, scans)
+    expected = _outcome(load_oracle, path)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        np.testing.assert_array_equal(got[0].edges, expected[-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -655,9 +738,10 @@ def test_sorted_and_shuffled_files_load_to_the_same_arrays(tmp_path_factory, see
     graphs = []
     for name, lines in [("sorted", edges), ("shuffled", rng.permutation(edges).tolist())]:
         text = header + "".join(line + "\n" for line in lines)
-        assert _parse_bulk(text) is not None
         (directory / name).write_text(text, encoding="utf-8")
-        graphs.append(load(directory / name)[0])
+        with traced_load() as trace:
+            graphs.append(load(directory / name)[0])
+        assert trace.tables == [True]
     sorted_graph, shuffled_graph = graphs
     for field in ("rows", "cols", "weights"):
         got, expected = getattr(shuffled_graph, field), getattr(sorted_graph, field)
