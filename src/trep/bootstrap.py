@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import sample_nature
+from .game import _check_trust, _draw_nature
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,10 @@ def run_bootstrap(
 ) -> BootstrapTrace:
     """Probe servers in committees until a full schedule passes cleanly.
 
+    Checks the trust vector against the schedule, then runs the kernel
+    `_run_bootstrap`; the CLI makes the check once per command and runs the
+    kernel for every trial.
+
     Each pass is found in closed form, in one scan of its active servers A
     (ascending) with c = committee size and B = ceil(|A|/c) blocks.  Round t
     probes block (t-1) mod B, so the server at position p of A is probed at
@@ -73,15 +77,30 @@ def run_bootstrap(
     first faulty member of round T's committee); with no corrupted active
     server it runs clean for lam + B - 1 rounds.
     """
+    return _run_bootstrap(_check_bootstrap(trust, bcfg), bcfg, rng)
+
+
+def _check_bootstrap(trust: np.ndarray, bcfg: BootstrapConfig) -> np.ndarray:
+    """Trust as float ratings, checked: at least 2 servers, a committee no
+    larger than their count, and values `_check_trust` accepts."""
     m = np.asarray(trust).size
     if m < 2:
         raise ValueError(f"need at least 2 servers, got {m}")
     size = bcfg.committee_size
     if size > m:
         raise ValueError(f"committee size {size} exceeds server count {m}")
-    honest = sample_nature(trust, rng)
+    return _check_trust(trust)
+
+
+def _run_bootstrap(
+    ratings: np.ndarray, bcfg: BootstrapConfig, rng: np.random.Generator
+) -> BootstrapTrace:
+    """`run_bootstrap` on ratings that `_check_bootstrap` returned."""
+    m = ratings.size
+    size = bcfg.committee_size
+    honest = _draw_nature(ratings, rng)
     fault_round = rng.integers(1, bcfg.lam + 1, size=m).tolist()
-    corrupted = set(np.flatnonzero(honest == 0).tolist())
+    good = honest.tolist()
     active = list(range(m))
     passes = []
     detected = []
@@ -90,7 +109,7 @@ def run_bootstrap(
         blocks = math.ceil(len(active) / size)
         end, culprit = bcfg.lam + blocks - 1, None  # a clean pass's length
         for p, j in enumerate(active):
-            if j in corrupted:
+            if not good[j]:
                 f = fault_round[j]
                 t = f + (p // size + 1 - f) % blocks  # never past a clean pass
                 if culprit is None or t < end:

@@ -11,8 +11,9 @@ import numpy as np
 
 from .bootstrap import (
     BootstrapConfig,
+    _check_bootstrap,
+    _run_bootstrap,
     honest_majority_check,
-    run_bootstrap,
     select_committee,
     trace_event_log,
 )
@@ -178,10 +179,11 @@ def cmd_bootstrap(args) -> int:
     # The final committee depends on the scores only, never on the draws
     ell = args.ell if args.ell is not None else graph.m
     committee = select_committee(decode_graph(graph, cfg).rho, ell, args.fraction)
+    ratings = _check_bootstrap(trust, bcfg)
     rows = []
     restarts = majorities = 0
     for trial in range(args.trials):
-        trace = run_bootstrap(trust, bcfg, substream(args.seed, "boot", trial))
+        trace = _run_bootstrap(ratings, bcfg, substream(args.seed, "boot", trial))
         if trial == 0:
             log = trace_event_log(trace)
         majority, margin = honest_majority_check(committee, trace.honest)

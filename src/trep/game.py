@@ -46,8 +46,12 @@ def f1(utilities: np.ndarray) -> np.ndarray:
 
 def sample_nature(trust: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw the success indicator of every server (1 with its trust probability)."""
-    trust = _check_trust(trust)
-    return (rng.random(trust.size) < trust).astype(np.int64)
+    return _draw_nature(_check_trust(trust), rng)
+
+
+def _draw_nature(ratings: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """`sample_nature` on a checked trust vector."""
+    return (rng.random(ratings.size) < ratings).astype(np.int64)
 
 
 def realized_utilities(profile: np.ndarray, outcome: np.ndarray, config: Config) -> np.ndarray:

@@ -6,10 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trep.cli
 import trep.repgraph
+from trep.bootstrap import BootstrapConfig, honest_majority_check, run_bootstrap, select_committee
 from trep.cli import DEFAULT_EPSILONS, main
+from trep.decoder import decode_graph
+from trep.repgraph import Config, RepGraph, load, save
+from trep.rng import substream
 
 SCENARIO = """trep v1
 users 3
@@ -339,12 +345,67 @@ def test_bootstrap_renders_the_log_once(scenario, tmp_path, count_calls):
     assert len(renders) == 1
 
 
-def test_bootstrap_one_server_exits_2(tmp_path, capsys):
-    path = tmp_path / "one.trep"
-    path.write_text(ONE_SERVER, encoding="utf-8")
-    assert main(["bootstrap", str(path), "--trials", "2", "--out", str(tmp_path)]) == 2
-    assert "at least 2 servers" in capsys.readouterr().err
-    assert not (tmp_path / "bootstrap.csv").exists()
+@pytest.mark.parametrize(
+    "text, extra, message",
+    [
+        (ONE_SERVER, [], "need at least 2 servers, got 1"),
+        (SCENARIO, ["--committee", "3"], "committee size 3 exceeds server count 2"),
+    ],
+    ids=["one-server", "committee-above-servers"],
+)
+def test_bootstrap_schedule_check_exits_2(tmp_path, capsys, text, extra, message):
+    # The command checks trust against the schedule once, before any trial
+    path = tmp_path / "scenario.trep"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["bootstrap", str(path), "--trials", "2", "--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "bootstrap.csv").exists()
+    assert not (out / "bootstrap.log").exists()
+
+
+def test_bootstrap_checks_trust_once_per_command(scenario, tmp_path, count_calls):
+    checks = count_calls("trep.game", "_check_trust")
+    args = ["bootstrap", str(scenario), "--lambda", "4", "--committee", "2", "--trials", "10"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(checks) == 1
+
+
+@st.composite
+def bootstrap_scenarios(draw):
+    m = draw(st.integers(2, 12))
+    values = st.sampled_from([0.0, 1.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    trust = draw(st.lists(values, min_size=m, max_size=m))
+    assume(any(t > 0 for t in trust))
+    lam, size = draw(st.integers(1, 9)), draw(st.integers(1, m))
+    return np.array(trust), lam, size, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bootstrap_scenarios())
+def test_bootstrap_csv_matches_public_run_bootstrap(tmp_path_factory, case):
+    # The command runs the private kernel on trust it checked once; each row
+    # must equal what the public function and the majority check give.
+    trust, lam, size, seed = case
+    m, n = trust.size, 3
+    edges = np.zeros((n, m + n))
+    edges[:, :m] = 1.0 / m
+    tmp = tmp_path_factory.mktemp("boot")
+    save(RepGraph(n, m, edges, trust), Config(), tmp / "s.trep")
+    args = ["bootstrap", str(tmp / "s.trep"), "--lambda", str(lam), "--committee", str(size),
+            "--trials", "30", "--seed", str(seed), "--out", str(tmp)]
+    assert main(args) == 0
+    graph, cfg = load(tmp / "s.trep")
+    committee = select_committee(decode_graph(graph, cfg).rho, m, 0.9)
+    bcfg = BootstrapConfig(lam=lam, committee_size=size)
+    rows = ["trial,restarts,rounds,detected,majority,margin"]
+    for trial in range(30):
+        trace = run_bootstrap(graph.trust, bcfg, substream(seed, "boot", trial))
+        majority, margin = honest_majority_check(committee, trace.honest)
+        detected = ";".join(str(j + 1) for j in trace.detected) or "none"
+        rows.append(f"{trial},{trace.restarts},{trace.rounds},{detected},"
+                    f"{str(majority).lower()},{margin}")
+    assert (tmp / "bootstrap.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
 
 def test_bootstrap_parallel_matches_serial(scenario, tmp_path):
