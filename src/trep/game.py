@@ -90,4 +90,4 @@ def _bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.nda
     """bipartite_utility on float arrays."""
     totals = own + opponent_mass
     shares = np.divide(own, totals, out=np.zeros(own.shape), where=totals > 0)
-    return float(shares @ trust)
+    return float(np.add.reduce(shares * trust))  # not BLAS's dot: see _UserChain.__rmatmul__

@@ -37,7 +37,6 @@ class StationaryDistribution:
 
 
 def _check_stochastic(chain: np.ndarray) -> None:
-    chain = np.asarray(chain)
     if chain.ndim != 2 or chain.shape[0] != chain.shape[1]:
         raise ValueError(f"transition matrix must be square, got shape {chain.shape}")
     if np.any(chain < 0):
@@ -53,7 +52,7 @@ def build_designated_chain(graph: RepGraph, config: Config) -> np.ndarray:
     size = m + n
     chain = np.zeros((size, size))
     chain[:m, m:] = 1.0 / n
-    chain[m:] = (1.0 - config.alpha) * graph.edges
+    chain[m + graph.rows, graph.cols] = (1.0 - config.alpha) * graph.weights
     chain[m:, m:] += config.alpha / n
     return chain
 
@@ -133,9 +132,10 @@ class _UserChain:
         self.jump = (config.alpha + keep * server_mass) / n
 
     def __rmatmul__(self, pi: np.ndarray) -> np.ndarray:
+        jump = np.add.reduce(pi * self.jump)  # not BLAS's dot, which rounds by CPU kernel
         if not self.src.size:  # the bincount below would be all zeros
-            return np.full(self.shape[0], pi.dot(self.jump))
-        return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + pi.dot(self.jump)
+            return np.full(self.shape[0], jump)
+        return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + jump
 
 
 def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
@@ -158,6 +158,18 @@ def reputation_scores(graph: RepGraph, config: Config) -> np.ndarray:
     return received / total
 
 
+def _excursion_system(graph: RepGraph, config: Config) -> tuple[np.ndarray, np.ndarray]:
+    """I - (1 - alpha) E_u and E_s of a valid graph, filled from its edge list."""
+    _require_valid(graph)
+    n, m, rows, cols, weights = graph.n, graph.m, graph.rows, graph.cols, graph.weights
+    to_user = cols >= m
+    system = np.eye(n)
+    system[rows[to_user], cols[to_user] - m] -= (1.0 - config.alpha) * weights[to_user]
+    servers = np.zeros((n, m))
+    servers[rows[~to_user], cols[~to_user]] = weights[~to_user]
+    return system, servers
+
+
 def tour_counts(graph: RepGraph, config: Config) -> np.ndarray:
     """Expected visits per excursion, for every source user at once.
 
@@ -166,15 +178,13 @@ def tour_counts(graph: RepGraph, config: Config) -> np.ndarray:
     a restart, taken with probability alpha from users and certainly from
     servers).  With E_u the user-to-user and E_s the user-to-server block,
     user visits are the fundamental matrix N = (I - (1 - alpha) E_u)^-1 and
-    server visits are (1 - alpha) N E_s.  User rows of E sum to one, so
-    I - (1 - alpha) E_u is strictly diagonally dominant and never singular.
+    server visits are (1 - alpha) N E_s, one solve against [(1 - alpha) E_s | I].
+    User rows of E sum to one, so I - (1 - alpha) E_u is strictly diagonally
+    dominant and never singular.
     """
-    _require_valid(graph)
-    n, m = graph.n, graph.m
-    keep = 1.0 - config.alpha
-    edges = graph.edges  # the solve is dense anyway
-    visits = np.linalg.solve(np.eye(n) - keep * edges[:, m:], np.eye(n))
-    return np.hstack([keep * visits @ edges[:, :m], visits])
+    system, servers = _excursion_system(graph, config)
+    rhs = np.hstack([(1.0 - config.alpha) * servers, np.eye(graph.n)])
+    return np.linalg.solve(system, rhs)
 
 
 def contribution_matrix(graph: RepGraph, config: Config) -> np.ndarray:
@@ -182,11 +192,9 @@ def contribution_matrix(graph: RepGraph, config: Config) -> np.ndarray:
 
     Entry (i, j) is user i's fraction of all expected visits to server j per
     excursion; columns of endorsed servers sum to one, columns of unendorsed
-    servers are zero.
+    servers are zero.  The factor 1 - alpha of the server visits cancels in
+    the shares, so N E_s is one solve against the m columns of E_s.
     """
-    counts = tour_counts(graph, config)[:, : graph.m]
+    counts = np.linalg.solve(*_excursion_system(graph, config))
     totals = counts.sum(axis=0)
-    shares = np.zeros_like(counts)
-    endorsed = totals > 0
-    shares[:, endorsed] = counts[:, endorsed] / totals[endorsed]
-    return shares
+    return np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)

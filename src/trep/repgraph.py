@@ -99,14 +99,6 @@ class RepGraph:
         self.n, self.m, self.rows, self.cols, self.weights = n, m, rows, cols, weights
         self.trust, self._valid = trust, False
 
-    @property
-    def edges(self) -> np.ndarray:
-        """The dense n x (m + n) matrix, built afresh (and read-only) on each access."""
-        dense = np.zeros((self.n, self.m + self.n))
-        dense[self.rows, self.cols] = self.weights
-        dense.flags.writeable = False
-        return dense
-
 
 def validate(graph: RepGraph) -> list[str]:
     """Return all invariant violations of the graph (empty list when valid).

@@ -25,7 +25,10 @@ common-belief defect are kept verbatim as they stood before the package ran
 them as kernels behind one check per call, so the kernels can be held to
 them bit for bit.  The belief-mass drift is counted by the separate trial
 loop that measured it before f2_check counted it from the beliefs it
-decodes.
+decodes.  Tests read a graph as a dense matrix through `dense`, which the
+package no longer builds, and the dense forms of the designated chain, tour
+counts and contribution shares are kept as they stood before the package
+filled their blocks from the edge list.
 """
 
 import math
@@ -47,6 +50,45 @@ from trep.repgraph import ROW_SUM_RENORM, ROW_SUM_TOL, ParseError, RepGraph, val
 from trep.rng import substream
 
 ORACLE_MAX_STATES = 200
+
+
+def dense(graph):
+    """The graph's dense n x (m + n) matrix, filled from its edge list."""
+    edges = np.zeros((graph.n, graph.m + graph.n))
+    edges[graph.rows, graph.cols] = graph.weights
+    return edges
+
+
+def designated_chain_dense(graph, config):
+    """build_designated_chain as it stood on the dense matrix, verbatim."""
+    n, m = graph.n, graph.m
+    size = m + n
+    chain = np.zeros((size, size))
+    chain[:m, m:] = 1.0 / n
+    chain[m:] = (1.0 - config.alpha) * dense(graph)
+    chain[m:, m:] += config.alpha / n
+    return chain
+
+
+def tour_counts_dense(graph, config):
+    """tour_counts as it stood on the dense matrix: N = (I - (1 - alpha) E_u)^-1
+    against the identity, then server visits (1 - alpha) N E_s as a product."""
+    n, m = graph.n, graph.m
+    keep = 1.0 - config.alpha
+    edges = dense(graph)
+    visits = np.linalg.solve(np.eye(n) - keep * edges[:, m:], np.eye(n))
+    return np.hstack([keep * visits @ edges[:, :m], visits])
+
+
+def contribution_matrix_dense(graph, config):
+    """contribution_matrix as it stood: the server columns of tour_counts_dense,
+    normalized per column, with unendorsed servers' columns left zero."""
+    counts = tour_counts_dense(graph, config)[:, : graph.m]
+    totals = counts.sum(axis=0)
+    shares = np.zeros_like(counts)
+    endorsed = totals > 0
+    shares[:, endorsed] = counts[:, endorsed] / totals[endorsed]
+    return shares
 
 
 def stationary_oracle(chain):
@@ -254,13 +296,14 @@ def best_response_closed_form_reference(trust, belief, n):
 
 
 def bipartite_utility_reference(own, opponent_mass, trust):
-    """bipartite_utility as it stood before the utility kernel, verbatim."""
+    """bipartite_utility as it stood before the utility kernel, verbatim
+    save its last sum, NumPy's own reduce as in the package, not BLAS's dot."""
     own = np.asarray(own, dtype=float)
     opponent_mass = np.asarray(opponent_mass, dtype=float)
     trust = np.asarray(trust, dtype=float)
     totals = own + opponent_mass
     shares = np.divide(own, totals, out=np.zeros_like(own), where=totals > 0)
-    return float(shares @ trust)
+    return float(np.add.reduce(shares * trust))
 
 
 def common_belief_defect_reference(ratings, belief, n):

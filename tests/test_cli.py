@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trep.cli
-import trep.repgraph
+import trep.pagerank
 from trep.bootstrap import BootstrapConfig, honest_majority_check, run_bootstrap, select_committee
 from trep.cli import DEFAULT_EPSILONS, main
 from trep.decoder import decode_graph
@@ -244,12 +244,14 @@ def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, co
 
 
 def test_commands_never_build_the_dense_matrix(scenario, tmp_path, monkeypatch):
-    # Scores, gains and bootstrap runs read the edge list; the dense matrix
-    # is for the library's dense solves and tests only.
-    def unread(graph):
-        pytest.fail("a command read RepGraph.edges")
+    # Scores, gains and bootstrap runs step on the edge list; the dense
+    # blocks of tour counts and contribution shares, and the full chain,
+    # are for the library's dense solves and tests only.
+    def unbuilt(*args):
+        pytest.fail("a command built a dense block of the graph")
 
-    monkeypatch.setattr(trep.repgraph.RepGraph, "edges", property(unread))
+    monkeypatch.setattr(trep.pagerank, "_excursion_system", unbuilt)
+    monkeypatch.setattr(trep.pagerank, "build_designated_chain", unbuilt)
     commands = [
         ["decode", "--seed", "5"],
         ["nash", "--seed", "5", "--trials", "25"],
@@ -362,6 +364,51 @@ def test_bootstrap_schedule_check_exits_2(tmp_path, capsys, text, extra, message
     assert message in capsys.readouterr().err
     assert not (out / "bootstrap.csv").exists()
     assert not (out / "bootstrap.log").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--ell", "0"], "ell must lie in 1..2, got 0"),
+        (["--ell", "3"], "ell must lie in 1..2, got 3"),
+        (["--fraction", "0"], "fraction must lie in (0, 1], got 0.0"),
+        (["--fraction", "1.5"], "fraction must lie in (0, 1], got 1.5"),
+        (["--fraction", "nan"], "fraction must lie in (0, 1], got nan"),
+    ],
+    ids=["ell-zero", "ell-above-servers", "fraction-zero", "fraction-above-one", "fraction-nan"],
+)
+def test_bootstrap_committee_pool_check_exits_2(scenario, tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    assert main(["bootstrap", str(scenario), "--trials", "2", "--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "bootstrap.csv").exists()
+    assert not (out / "bootstrap.log").exists()
+
+
+def test_bootstrap_majority_is_that_of_the_selected_pool(tmp_path):
+    # --ell 3 --fraction 0.5 keeps the two best of six servers, where the
+    # defaults keep all six; each row's verdict is that committee's.
+    trust = np.array([0.9, 0.2, 0.7, 0.1, 0.8, 0.3])
+    n, m, seed = 3, trust.size, 23
+    edges = np.zeros((n, m + n))
+    edges[:, :m] = trust / trust.sum()
+    save(RepGraph(n, m, edges, trust), Config(), tmp_path / "s.trep")
+    args = ["bootstrap", str(tmp_path / "s.trep"), "--lambda", "3", "--committee", "2",
+            "--trials", "40", "--seed", str(seed), "--ell", "3", "--fraction", "0.5"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    graph, cfg = load(tmp_path / "s.trep")
+    rho = decode_graph(graph, cfg).rho
+    committee = select_committee(rho, 3, 0.5)
+    assert committee == [0, 4] != select_committee(rho, m, 0.9)
+    bcfg = BootstrapConfig(lam=3, committee_size=2)
+    lines = (tmp_path / "bootstrap.csv").read_text(encoding="utf-8").splitlines()[1:]
+    verdicts = set()
+    for trial, line in enumerate(lines):
+        trace = run_bootstrap(graph.trust, bcfg, substream(seed, "boot", trial))
+        majority, margin = honest_majority_check(committee, trace.honest)
+        assert line.split(",")[-2:] == [str(majority).lower(), str(margin)]
+        verdicts.add(majority)
+    assert len(lines) == 40 and verdicts == {True, False}
 
 
 def test_bootstrap_checks_trust_once_per_command(scenario, tmp_path, count_calls):

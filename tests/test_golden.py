@@ -1,6 +1,7 @@
 """Fixed commands write the same bytes as their goldens (tests/goldens.py)."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -56,17 +57,42 @@ def test_first_difference_names_the_line_and_both_bytes():
     assert first_difference("a.csv", b"x\n", b"x\ny\n") == "a.csv line 2: got b'', golden b'y\\n'"
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_golden_bytes(case):
-    outputs = run_case(case)
-    assert sorted(outputs) == pinned(case), "the command wrote other files than its golden holds"
+def golden_differences(case: str, outputs: dict[str, bytes]) -> list[str]:
+    """Where a case's outputs part from its golden: the files it wrote
+    beyond or short of the golden's, and each file's first differing line."""
+    if sorted(outputs) != pinned(case):
+        return [f"{case}: the command wrote {sorted(outputs)}, its golden holds {pinned(case)}"]
     differences = [
         first_difference(
             f"{case}/{name}", comparable(name, data), comparable(name, (GOLDEN / case / name).read_bytes())
         )
         for name, data in outputs.items()
     ]
-    differences = [d for d in differences if d is not None]
+    return [d for d in differences if d is not None]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_bytes(case):
+    differences = golden_differences(case, run_case(case))
+    assert not differences, "\n".join(differences)
+
+
+def test_every_golden_holds_under_another_blas_kernel():
+    # OpenBLAS picks its kernel from the CPU, once per process, unless
+    # OPENBLAS_CORETYPE names one; kernels round dot products differently,
+    # so every sum on a seeded path is NumPy's own reduce. One process runs
+    # every case under the Haswell kernel, which this runner's CPU may not
+    # pick by itself (a NumPy on another BLAS ignores the variable).
+    script = (
+        "import pickle, sys; from goldens import CASES, run_case; "
+        "pickle.dump({case: run_case(case) for case in CASES}, sys.stdout.buffer)"
+    )
+    paths = [str(Path(trep.cli.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    outputs = pickle.loads(run.stdout)
+    assert sorted(outputs) == sorted(CASES)
+    differences = [d for case in sorted(CASES) for d in golden_differences(case, outputs[case])]
     assert not differences, "\n".join(differences)
 
 

@@ -17,7 +17,15 @@ from trep.pagerank import (
 from trep.equilibrium import hierarchy_profile, truth_telling_profile
 from trep.repgraph import Config, RepGraph, _profile_graph
 
-from oracles import designated_user_mass, single_source_tour_counts, stationary_oracle
+from oracles import (
+    contribution_matrix_dense,
+    dense,
+    designated_chain_dense,
+    designated_user_mass,
+    single_source_tour_counts,
+    stationary_oracle,
+    tour_counts_dense,
+)
 
 CFG = Config()
 
@@ -330,15 +338,15 @@ def test_reputation_scores_match_full_chain(graph, alpha):
     # alpha times that (19x at alpha = 0.05, on users that endorse only
     # themselves), so tol is set below the 1e-12 compared here.
     cfg = Config(alpha=alpha, tol=1e-14)
-    m = graph.m
-    server_edges = graph.edges[:, :m]
+    m, edges = graph.m, dense(graph)
+    server_edges = edges[:, :m]
     if not server_edges.any():
         with pytest.raises(AllServersUntrusted):
             reputation_scores(graph, cfg)
         return
     full = build_designated_chain(graph, cfg)
     rho = reputation_scores(graph, cfg)
-    received = server_edges.T @ designated_user_mass(graph.edges, m, alpha)
+    received = server_edges.T @ designated_user_mass(edges, m, alpha)
     np.testing.assert_allclose(rho, received / received.sum(), rtol=0, atol=1e-12)
     # Compared on the full chain's scale: the least-squares oracle resolves
     # each entry to ~1e-16, so its server mass cannot be renormalized when
@@ -358,9 +366,9 @@ def test_tour_counts_match_single_runs(graph, alpha):
     # Each row must match the explicit chain restarted at that user, solved
     # densely and rescaled by its regeneration rate.
     cfg = Config(alpha=alpha)
-    counts = tour_counts(graph, cfg)
+    counts, edges = tour_counts(graph, cfg), dense(graph)
     for i in range(graph.n):
-        expected = single_source_tour_counts(graph.edges, graph.m, alpha, i)
+        expected = single_source_tour_counts(edges, graph.m, alpha, i)
         np.testing.assert_allclose(counts[i], expected, rtol=1e-9, atol=1e-9)
     # Every excursion ends exactly once: by a restart from a user, or at a server.
     regen = alpha * counts[:, graph.m :].sum(axis=1) + counts[:, : graph.m].sum(axis=1)
@@ -377,6 +385,39 @@ def test_tour_counts_renewal_identity():
     np.testing.assert_allclose(counts / counts.sum(), pi, atol=1e-9)
 
 
+def oracle_graphs():
+    """Seeded valid graphs with sparse random rows, cycling through four
+    kinds: plain, every user endorsing itself, server 0 endorsed by nobody,
+    and E_u = 0."""
+    rng = np.random.default_rng(2027)
+    for case in range(80):
+        n, m, kind = int(rng.integers(2, 41)), int(rng.integers(1, 8)), case % 4
+        edges = rng.random((n, m + n)) * (rng.random((n, m + n)) < 0.5)
+        if kind == 1:
+            edges[np.arange(n), m + np.arange(n)] += rng.random(n)
+        elif kind == 2:
+            edges[:, 0] = 0.0
+        elif kind == 3:
+            edges[:, m:] = 0.0
+        empty = np.flatnonzero(edges.sum(axis=1) == 0.0)
+        edges[empty, (m + empty) if kind == 2 else m - 1] = 1.0
+        edges /= edges.sum(axis=1, keepdims=True)
+        yield RepGraph(n=n, m=m, edges=edges)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.15, 0.5])
+def test_dense_solves_match_their_dense_forms(alpha):
+    # The blocks filled from the edge list give the chain of the dense
+    # matrix bit for bit, and the tour counts and shares of its solves.
+    cfg = Config(alpha=alpha)
+    for graph in oracle_graphs():
+        chain = build_designated_chain(graph, cfg)
+        assert chain.tobytes() == designated_chain_dense(graph, cfg).tobytes()
+        counts, shares = tour_counts(graph, cfg), contribution_matrix(graph, cfg)
+        np.testing.assert_allclose(counts, tour_counts_dense(graph, cfg), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(shares, contribution_matrix_dense(graph, cfg), rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.15, 0.5])
 def test_user_chain_takes_one_step_on_hierarchy_profiles(alpha):
     # Newcomers endorse only established players, who endorse only servers,
@@ -389,7 +430,7 @@ def test_user_chain_takes_one_step_on_hierarchy_profiles(alpha):
             graph = _profile_graph(hierarchy_profile(trust, rng.dirichlet(np.ones(k), size=n - k)))
             result = stationary(_UserChain(graph, cfg), cfg)
             assert result.iterations_used == 1
-            expected = designated_user_mass(graph.edges, graph.m, alpha)
+            expected = designated_user_mass(dense(graph), graph.m, alpha)
             np.testing.assert_allclose(result.pi, expected / expected.sum(), rtol=0, atol=1e-12)
 
 

@@ -16,7 +16,7 @@ from trep.repgraph import (
     validate,
 )
 
-from oracles import load_oracle, row_violations
+from oracles import dense, load_oracle, row_violations
 
 
 @contextlib.contextmanager
@@ -131,9 +131,9 @@ def test_validate_rejects_small_counts():
 
 def test_validate_checks_trust_range():
     g = bipartite_graph()
-    bad = RepGraph(n=g.n, m=g.m, edges=g.edges, trust=np.array([1.5, 0.5]))
+    bad = RepGraph(n=g.n, m=g.m, edges=dense(g), trust=np.array([1.5, 0.5]))
     assert any("trust" in v for v in validate(bad))
-    zero = RepGraph(n=g.n, m=g.m, edges=g.edges, trust=np.array([0.0, 0.0]))
+    zero = RepGraph(n=g.n, m=g.m, edges=dense(g), trust=np.array([0.0, 0.0]))
     assert any("trust" in v for v in validate(zero))
 
 
@@ -141,7 +141,7 @@ def test_validate_reports_no_servers_and_a_trust_vector_of_the_wrong_shape():
     users_only = RepGraph(n=2, m=0, edges=np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert validate(users_only) == ["m must be at least 1, got 0"]
     g = bipartite_graph()
-    three = RepGraph(n=g.n, m=g.m, edges=g.edges, trust=np.array([0.5, 0.5, 0.5]))
+    three = RepGraph(n=g.n, m=g.m, edges=dense(g), trust=np.array([0.5, 0.5, 0.5]))
     assert validate(three) == ["trust vector has shape (3,), expected (2,)"]
 
 
@@ -175,7 +175,7 @@ def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows():
             cols += sorted(rng.choice(m + n, size=k, replace=False).tolist())
             weights += list(w)
         graph = RepGraph.from_coo(n, m, rows, cols, weights)
-        assert validate(graph) == row_violations(graph.edges)
+        assert validate(graph) == row_violations(dense(graph))
 
 
 # ---------------------------------------------------- strategy profiles as graphs
@@ -186,7 +186,7 @@ def test_from_strategies_copies_rows():
     profile[:, 1] = 1 / 3
     g = RepGraph(n=2, m=2, edges=profile)
     assert g.n == 2 and g.m == 2
-    np.testing.assert_array_equal(g.edges, profile)
+    np.testing.assert_array_equal(dense(g), profile)
 
 
 def test_from_strategies_user_action_maps_to_user_edge():
@@ -194,14 +194,15 @@ def test_from_strategies_user_action_maps_to_user_edge():
     profile[0, 2] = 1.0  # action m+1 endorses user 1
     profile[1, 0] = 1.0
     g = RepGraph(n=2, m=2, edges=profile)
-    assert g.edges[0, 2] == 1.0
+    assert dense(g)[0, 2] == 1.0
 
 
 def test_from_strategies_pure_strategy():
     profile = np.zeros((2, 4))
     profile[:, 0] = 1.0
     g = RepGraph(n=2, m=2, edges=profile)
-    assert g.edges[0, 0] == 1.0 and g.edges[0, 1:].sum() == 0.0
+    row = dense(g)[0]
+    assert row[0] == 1.0 and row[1:].sum() == 0.0
 
 
 def test_from_strategies_dimension_mismatch():
@@ -231,7 +232,7 @@ def test_load_minimal(tmp_path):
     assert graph.n == 2 and graph.m == 2
     assert graph.trust is None
     assert config.alpha == 0.15
-    np.testing.assert_allclose(graph.edges[:, :2], 0.5)
+    np.testing.assert_allclose(dense(graph)[:, :2], 0.5)
 
 
 def test_load_trust_line(tmp_path):
@@ -266,8 +267,8 @@ def test_load_drops_a_leading_byte_order_mark(tmp_path):
     assert trace.tables == [True, True]  # the bulk path, not the line loop
     assert (graph.n, graph.m, cfg) == (expected.n, expected.m, expected_cfg)
     np.testing.assert_array_equal(graph.trust, expected.trust)
-    np.testing.assert_array_equal(graph.edges, expected.edges)
-    np.testing.assert_array_equal(load_oracle(marked)[4], expected.edges)
+    np.testing.assert_array_equal(dense(graph), dense(expected))
+    np.testing.assert_array_equal(load_oracle(marked)[4], dense(expected))
 
 
 @pytest.mark.parametrize(
@@ -342,7 +343,7 @@ def test_load_renormalizes_tiny_row_drift(tmp_path):
     path = tmp_path / "g.trep"
     path.write_text(drift)
     graph, _ = load(path)
-    assert abs(graph.edges[0].sum() - 1.0) <= 1e-12
+    assert abs(dense(graph)[0].sum() - 1.0) <= 1e-12
 
 
 def test_load_rejects_large_row_drift(tmp_path):
@@ -387,7 +388,7 @@ def test_load_renormalizes_wide_rows_of_several_edges_as_the_oracle_does(tmp_pat
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     graph, _ = load(path)
     *_, edges = load_oracle(path)
-    np.testing.assert_array_equal(graph.edges, edges)
+    np.testing.assert_array_equal(dense(graph), edges)
 
 
 def test_load_rejects_dangling_user(tmp_path):
@@ -407,7 +408,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     path = tmp_path / "g.trep"
     save(g, cfg, path)
     g2, cfg2 = load(path)
-    np.testing.assert_array_equal(g.edges, g2.edges)
+    np.testing.assert_array_equal(dense(g), dense(g2))
     np.testing.assert_array_equal(g.trust, g2.trust)
     assert cfg2.alpha == cfg.alpha
     save(g2, cfg2, tmp_path / "h.trep")
@@ -425,7 +426,7 @@ def test_round_trip_random_graphs(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("rt") / "g.trep"
     save(g, Config(), path)
     g2, _ = load(path)
-    np.testing.assert_array_equal(g.edges, g2.edges)
+    np.testing.assert_array_equal(dense(g), dense(g2))
 
 
 # ------------------------------------------------------------ edge storage
@@ -439,18 +440,17 @@ def test_dense_to_edge_list_and_back_is_bit_exact():
         g = RepGraph(n=n, m=m, edges=edges)
         assert np.all(g.weights != 0)
         assert list(zip(g.rows, g.cols)) == sorted(zip(g.rows, g.cols))
-        back = RepGraph.from_coo(n, m, g.rows, g.cols, g.weights).edges
-        assert back.tobytes() == edges.tobytes() == g.edges.tobytes()
+        back = dense(RepGraph.from_coo(n, m, g.rows, g.cols, g.weights))
+        assert back.tobytes() == edges.tobytes() == dense(g).tobytes()
 
 
 def test_graph_keeps_no_copy_of_the_callers_matrix():
     # The edge list is the whole graph: changing the matrix afterwards changes
-    # nothing, each .edges is a fresh matrix, and a -0.0 entry reads +0.0.
+    # nothing, and a -0.0 entry is dropped, so it reads back +0.0.
     edges = np.array([[0.5, -0.0, 0.5], [1.0, 0.0, 0.0]])
     g = RepGraph(n=2, m=1, edges=edges)
     edges[0, 0] = 0.25
-    assert g.edges is not g.edges
-    assert g.edges.tobytes() == np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]).tobytes()
+    assert dense(g).tobytes() == np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -484,8 +484,6 @@ def test_zero_weight_edges_are_dropped(tmp_path):
 
 def test_graph_is_read_only():
     g = bipartite_graph()
-    with pytest.raises(ValueError, match="read-only"):
-        g.edges[0, 1] = 0.6
     with pytest.raises(ValueError, match="read-only"):
         g.weights[0] = 0.6
 
@@ -676,7 +674,7 @@ def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     assert (graph.trust is None) == (trust is None)
     if trust is not None:
         np.testing.assert_array_equal(graph.trust, trust)
-    np.testing.assert_array_equal(graph.edges, edges)
+    np.testing.assert_array_equal(dense(graph), edges)
     # every file the oracle accepts takes the bulk path, unless a declaration
     # follows its first edge line: then the reader refuses the edge block and
     # the line loop resumes there
@@ -714,7 +712,7 @@ def test_load_reads_each_line_once(tmp_path, text, tables, scans):
     if isinstance(expected, Exception):
         assert (type(got), str(got)) == (type(expected), str(expected))
     else:
-        np.testing.assert_array_equal(got[0].edges, expected[-1])
+        np.testing.assert_array_equal(dense(got[0]), expected[-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -746,7 +744,7 @@ def test_sorted_and_shuffled_files_load_to_the_same_arrays(tmp_path_factory, see
     for field in ("rows", "cols", "weights"):
         got, expected = getattr(shuffled_graph, field), getattr(sorted_graph, field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
-    np.testing.assert_array_equal(sorted_graph.edges, load_oracle(directory / "sorted")[-1])
+    np.testing.assert_array_equal(dense(sorted_graph), load_oracle(directory / "sorted")[-1])
 
 
 # -------------------------------------------------------------------- config
