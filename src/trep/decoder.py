@@ -89,8 +89,8 @@ def noisy_belief_two_point(
     trust = _check_noise_margin(trust, epsilon)
     if epsilon == 0.0:
         return trust.copy()
-    signs = rng.integers(0, 2, size=trust.size) * 2 - 1
-    return trust + signs * epsilon
+    up = rng.integers(0, 2, size=trust.size)
+    return np.where(up, trust + epsilon, trust - epsilon)  # the bits of trust + signs * epsilon
 
 
 def noisy_belief_gaussian(
@@ -172,13 +172,13 @@ def f2_check(
     q = math.exp(-(delta**2) / (4.0 * epsilon**2 * m)) if epsilon > 0 else 0.0
     bound = max(0.0, 1.0 - m * p - q)
     rng = rng or substream(0, "f2")
-    errors = np.empty(trials)
-    masses = np.empty(trials)
-    for t in range(trials):
+    beliefs, scores = [], []
+    for _ in range(trials):
         belief = generator(trust, epsilon, rng)
-        masses[t] = belief.sum()
-        rho = decode(truth_telling_profile(belief, n), cfg).rho
-        errors[t] = np.abs(rho - nr).max()
+        beliefs.append(belief)
+        scores.append(decode(truth_telling_profile(belief, n), cfg).rho)
+    masses = np.add.reduce(beliefs, axis=1)  # row by row, the bits of each belief.sum()
+    errors = np.abs(np.array(scores) - nr).max(axis=1)
     successes = int(np.count_nonzero(errors <= threshold))
     drifts = int(np.count_nonzero(np.abs(masses - total) >= delta))
     return F2Report(successes / trials, bound, drifts / trials, q, threshold)

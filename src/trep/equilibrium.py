@@ -66,12 +66,16 @@ def hierarchy_profile(trust: np.ndarray, fresh_weights: np.ndarray) -> np.ndarra
     """The k established players (rows 0..k-1) endorse servers by N(trust);
     fresh player k + i endorses established ones by row i of fresh_weights,
     whose (n - k) x k shape fixes k and n."""
-    ratings, w = _check_hierarchy(trust, fresh_weights)
-    k, m = w.shape[1], ratings.size
-    n = w.shape[0] + k
+    return _hierarchy_profile(*_check_hierarchy(trust, fresh_weights))
+
+
+def _hierarchy_profile(ratings: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """hierarchy_profile on checked trust and fresh weights."""
+    k, m = weights.shape[1], ratings.size
+    n = weights.shape[0] + k
     profile = np.zeros((n, m + n))
-    profile[:k, :m] = f1(ratings)
-    profile[k:, m : m + k] = w
+    profile[:k, :m] = ratings / ratings.sum()  # f1's bits, without its checks
+    profile[k:, m : m + k] = weights
     return profile
 
 
@@ -183,15 +187,12 @@ def _common_belief_defect(
     nonnegative with positive, finite mass and nr_belief = N(belief).
     """
     mass = (n - 1) * nr_belief
-    base = _bipartite_utility(nr_belief, mass, ratings)
     response = _waterfill(ratings, mass)
-    best_utility = _bipartite_utility(response, mass, ratings)
-    deviation = np.nan
     closed = _closed_form(ratings, belief, n, mass)
-    if closed is not None:
-        deviation = float(np.abs(response - closed).max())
-        best_utility = max(best_utility, _bipartite_utility(closed, mass, ratings))
-    return max(0.0, best_utility - base), deviation, base
+    rows = (nr_belief, response) if closed is None else (nr_belief, response, closed)
+    base, *utilities = _bipartite_utility(np.array(rows), mass, ratings).tolist()
+    deviation = np.nan if closed is None else float(np.abs(response - closed).max())
+    return max(0.0, max(utilities) - base), deviation, base
 
 
 def verify_unique_nash(
@@ -218,7 +219,7 @@ def verify_unique_nash(
     probe_min = np.inf
     for _ in range(probes):
         opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
-        probe_min = min(probe_min, _bipartite_utility(nr, opponents, ratings))
+        probe_min = min(probe_min, float(_bipartite_utility(nr, opponents, ratings)))
     return EquilibriumReport(gain, deviation, base, ratings.sum() / n, float(probe_min))
 
 
@@ -256,10 +257,11 @@ def epsilon_prime_bound(m: int, n: int, epsilon: float) -> float:
 
 
 def _hierarchy_reduction(
-    ratings: np.ndarray, weights: np.ndarray, alpha: float
+    ratings: np.ndarray, weights: np.ndarray, alpha: float, nr: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit totals, effective opponent masses and probe utilities of the
-    established players of hierarchy_profile(ratings, weights).
+    established players of hierarchy_profile(ratings, weights).  nr is
+    N(ratings), computed here when not given.
 
     Established rows endorse no users and fresh rows endorse only established
     ones, so E_u^2 = 0 and the fundamental matrix of tour_counts is exactly
@@ -280,7 +282,8 @@ def _hierarchy_reduction(
     keep = 1.0 - alpha
     visits = 1.0 + keep * weights.sum(axis=0)
     others = visits.sum() - visits  # exactly 0 when k = 1: free servers
-    masses = (others / visits)[:, None] * f1(ratings)
+    nr = ratings / ratings.sum() if nr is None else nr  # f1's bits, without its checks
+    masses = (others / visits)[:, None] * nr
     self_mass = 0.2 if visits.size == 1 else 0.0  # d_p
     q = keep / (1.0 - keep * self_mass)
     own = 0.8 * (1.0 + q * self_mass) + q * (0.2 - self_mass)
@@ -300,14 +303,18 @@ def hierarchy_best_response_gains(
     lower bound.  At the proportional-to-trust profile all gains should
     vanish regardless of how the fresh players split their endorsements.
     """
-    cfg = config or Config()
     ratings, weights = _check_hierarchy(trust, fresh_weights)
-    nr = f1(ratings)
-    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha)
-    gains = np.zeros(visits.size)
-    for player, (mass, visit) in enumerate(zip(masses, visits)):
-        base = _bipartite_utility(nr, mass, ratings) / visit
-        response = _waterfill(ratings, mass)
-        best_utility = max(_bipartite_utility(response, mass, ratings) / visit, probe[player])
-        gains[player] = max(0.0, best_utility - base)
-    return gains
+    return _hierarchy_gains(ratings, weights, (config or Config()).alpha)
+
+
+def _hierarchy_gains(ratings: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
+    """hierarchy_best_response_gains on checked trust and fresh weights: one
+    utility call scores every player's base row N(R) and waterfill row."""
+    nr = ratings / ratings.sum()
+    visits, masses, probe = _hierarchy_reduction(ratings, weights, alpha, nr)
+    rows = np.empty((2, *masses.shape))
+    rows[0] = nr
+    for row, mass in zip(rows[1], masses):
+        row[:] = _waterfill(ratings, mass)
+    base, best = _bipartite_utility(rows, masses, ratings) / visits
+    return np.maximum(0.0, np.maximum(best, probe) - base)

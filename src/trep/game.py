@@ -79,15 +79,17 @@ def bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndar
     endorsement shares: the player receives sum_j R_j x_j / (x_j + b_j),
     where empty pots (0/0) count as zero.
     """
-    return _bipartite_utility(
+    return float(_bipartite_utility(
         np.asarray(own, dtype=float),
         np.asarray(opponent_mass, dtype=float),
         np.asarray(trust, dtype=float),
-    )
+    ))
 
 
-def _bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndarray) -> float:
-    """bipartite_utility on float arrays."""
+def _bipartite_utility(own: np.ndarray, opponent_mass: np.ndarray, trust: np.ndarray) -> np.ndarray:
+    """bipartite_utility on float arrays, reduced over the last axis: a stack
+    of rows gets one utility per row, each with the bits of its own call, as
+    NumPy adds a contiguous last axis in the order it adds a vector."""
     totals = own + opponent_mass
-    shares = np.divide(own, totals, out=np.zeros(own.shape), where=totals > 0)
-    return float(np.add.reduce(shares * trust))  # not BLAS's dot: see _UserChain.__rmatmul__
+    shares = np.divide(own, totals, out=np.zeros(totals.shape), where=totals > 0)
+    return np.add.reduce(shares * trust, axis=-1)  # not BLAS's dot: see _UserChain.__rmatmul__

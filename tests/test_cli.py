@@ -243,6 +243,16 @@ def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, co
     assert len(graphs) == 10
 
 
+def test_nash_hierarchy_checks_trust_once_per_command(scenario, tmp_path, count_calls):
+    # Each draw runs the kernels; the weights are distributions by construction.
+    checks = count_calls("trep.game", "_check_trust")
+    hierarchy_checks = count_calls("trep.equilibrium", "_check_hierarchy")
+    args = ["nash", str(scenario), "--k", "2", "--trials", "5"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(checks) == 1
+    assert hierarchy_checks == []
+
+
 def test_commands_never_build_the_dense_matrix(scenario, tmp_path, monkeypatch):
     # Scores, gains and bootstrap runs step on the edge list; the dense
     # blocks of tour counts and contribution shares, and the full chain,

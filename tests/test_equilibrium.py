@@ -19,7 +19,7 @@ from trep.equilibrium import (
     truth_telling_profile,
     verify_unique_nash,
 )
-from trep.game import bipartite_utility, expected_utilities
+from trep.game import _bipartite_utility, bipartite_utility, expected_utilities
 from trep.pagerank import tour_counts
 from trep.repgraph import Config, RepGraph
 
@@ -27,6 +27,7 @@ from oracles import (
     best_response_by_enumeration,
     best_response_numeric,
     best_response_to_mass_reference,
+    bipartite_utility_reference,
     common_belief_defect_reference,
     grid_best_response,
     hierarchy_gains_oracle,
@@ -204,6 +205,49 @@ def test_best_response_matches_the_reference_bit_for_bit(vectors):
     trust, mass = vectors
     got = best_response_to_mass(trust, mass)
     assert same_bits(got, best_response_to_mass_reference(trust, mass))
+
+
+@st.composite
+def utility_stacks(draw):
+    """A stack of 1..8 candidate rows over m servers, m in 1..300 (across
+    NumPy's 8-wide unroll and its 128-element pairwise block), with opponent
+    masses per row or one vector for all, and sometimes a leading axis of two
+    stacks, as the hierarchy gains score them.  Entries come from small
+    palettes of KERNEL_RATING and KERNEL_MASS values plus exact zeros, so
+    empty pots (0/0) occur."""
+    rows, m = draw(st.integers(1, 8)), draw(st.integers(1, 300))
+    shares = draw(st.lists(KERNEL_RATING, min_size=1, max_size=6)) + [0.0]
+    masses = draw(st.lists(KERNEL_MASS, min_size=1, max_size=6)) + [0.0]
+    ratings = draw(st.lists(KERNEL_RATING, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    own = rng.choice(shares, size=(2, rows, m) if draw(st.booleans()) else (rows, m))
+    mass = rng.choice(masses, size=(rows, m) if draw(st.booleans()) else m)
+    return own, mass, rng.choice(ratings, size=m)
+
+
+def stack(m, rows=3, mass=(0.0, TINY, 1e20, 0.3), share=(0.0, 0.25, TINY)):
+    """A fixed (rows, m) stack that cycles through the given entries."""
+    own = np.resize(np.array(share), rows * m).reshape(rows, m)
+    return own, np.resize(np.array(mass), m), np.resize(np.array([0.9, 0.0, 0.4]), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(utility_stacks())
+@example(stack(1))
+@example(stack(8))
+@example(stack(9))
+@example(stack(128, rows=8))
+@example(stack(129))
+@example(stack(300, rows=8))
+@example(stack(5, mass=(0.0,), share=(0.0,)))  # every pot empty
+def test_stacked_utility_matches_the_reference_per_row_bit_for_bit(case):
+    own, mass, trust = case
+    got = _bipartite_utility(own, mass, trust)
+    mass = np.broadcast_to(mass, own.shape)
+    expected = np.array(
+        [bipartite_utility_reference(own[i], mass[i], trust) for i in np.ndindex(own.shape[:-1])]
+    ).reshape(own.shape[:-1])
+    assert same_bits(got, expected)
 
 
 # No entry near the subnormals, where R_j / b_j overflows for both codes alike
@@ -647,7 +691,7 @@ def _distributions(draw, rows, size):
 def hierarchy_cases(draw):
     n = draw(st.integers(3, 8))
     k = draw(st.integers(1, n - 1))
-    m = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 20))  # rows of 8 or more: np.add.reduce's unrolled order
     trust = np.array(draw(st.lists(WEIGHT, min_size=m, max_size=m)))
     assume(trust.any())
     fresh_weights = _distributions(draw, n - k, k)
