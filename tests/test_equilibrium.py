@@ -225,7 +225,7 @@ def utility_stacks(draw):
     return own, mass, rng.choice(ratings, size=m)
 
 
-def stack(m, rows=3, mass=(0.0, TINY, 1e20, 0.3), share=(0.0, 0.25, TINY)):
+def fixed_stack(m, rows=3, mass=(0.0, TINY, 1e20, 0.3), share=(0.0, 0.25, TINY)):
     """A fixed (rows, m) stack that cycles through the given entries."""
     own = np.resize(np.array(share), rows * m).reshape(rows, m)
     return own, np.resize(np.array(mass), m), np.resize(np.array([0.9, 0.0, 0.4]), m)
@@ -233,13 +233,13 @@ def stack(m, rows=3, mass=(0.0, TINY, 1e20, 0.3), share=(0.0, 0.25, TINY)):
 
 @settings(max_examples=200, deadline=None)
 @given(utility_stacks())
-@example(stack(1))
-@example(stack(8))
-@example(stack(9))
-@example(stack(128, rows=8))
-@example(stack(129))
-@example(stack(300, rows=8))
-@example(stack(5, mass=(0.0,), share=(0.0,)))  # every pot empty
+@example(fixed_stack(1))
+@example(fixed_stack(8))
+@example(fixed_stack(9))
+@example(fixed_stack(128, rows=8))
+@example(fixed_stack(129))
+@example(fixed_stack(300, rows=8))
+@example(fixed_stack(5, mass=(0.0,), share=(0.0,)))  # every pot empty
 def test_stacked_utility_matches_the_reference_per_row_bit_for_bit(case):
     own, mass, trust = case
     got = _bipartite_utility(own, mass, trust)
