@@ -26,7 +26,7 @@ from .equilibrium import (
     measure_epsilon_prime,
     verify_unique_nash,
 )
-from .game import _check_trust
+from .game import _check_trust, f1
 from .pagerank import AllServersUntrusted
 from .repgraph import Config, _fmt, load
 from .rng import substream
@@ -112,12 +112,13 @@ def cmd_nash(args) -> int:
         if not 1 <= args.k <= n - 1:  # before rng.dirichlet sees k
             raise ValueError(f"k must lie in 1..{n - 1}, got {args.k}")
         ratings = _check_trust(trust)  # once: dirichlet rows are distributions by construction
+        nr = f1(ratings)
         gains, scores = [], []
         for draw in range(args.trials):
             rng = substream(args.seed, "fresh", draw)
             weights = rng.dirichlet(np.ones(args.k), size=n - args.k)
-            gains.append(_hierarchy_gains(ratings, weights, cfg.alpha).max())
-            scores.append(decode(_hierarchy_profile(ratings, weights), cfg).rho)
+            gains.append(_hierarchy_gains(ratings, nr, weights, cfg.alpha).max())
+            scores.append(decode(_hierarchy_profile(nr, weights), cfg).rho)
         drifts = np.abs(np.array(scores) - scores[0]).max(axis=1)  # against the first draw
         rows = [(str(d), _fmt(g), _fmt(r)) for d, (g, r) in enumerate(zip(gains, drifts))]
         _write_text(Path(args.out) / "nash.csv", _csv("draw,max_gain,rho_drift", rows))

@@ -89,8 +89,8 @@ def noisy_belief_two_point(
     trust = _check_noise_margin(trust, epsilon)
     if epsilon == 0.0:
         return trust.copy()
-    up = rng.integers(0, 2, size=trust.size)
-    return np.where(up, trust + epsilon, trust - epsilon)  # the bits of trust + signs * epsilon
+    signs = rng.integers(0, 2, size=trust.size) * 2 - 1
+    return trust + signs * epsilon
 
 
 def noisy_belief_gaussian(

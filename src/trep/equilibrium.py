@@ -66,15 +66,16 @@ def hierarchy_profile(trust: np.ndarray, fresh_weights: np.ndarray) -> np.ndarra
     """The k established players (rows 0..k-1) endorse servers by N(trust);
     fresh player k + i endorses established ones by row i of fresh_weights,
     whose (n - k) x k shape fixes k and n."""
-    return _hierarchy_profile(*_check_hierarchy(trust, fresh_weights))
+    ratings, weights = _check_hierarchy(trust, fresh_weights)
+    return _hierarchy_profile(f1(ratings), weights)
 
 
-def _hierarchy_profile(ratings: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """hierarchy_profile on checked trust and fresh weights."""
-    k, m = weights.shape[1], ratings.size
+def _hierarchy_profile(nr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """hierarchy_profile on nr = N(trust) and checked fresh weights."""
+    k, m = weights.shape[1], nr.size
     n = weights.shape[0] + k
     profile = np.zeros((n, m + n))
-    profile[:k, :m] = ratings / ratings.sum()  # f1's bits, without its checks
+    profile[:k, :m] = nr
     profile[k:, m : m + k] = weights
     return profile
 
@@ -257,11 +258,11 @@ def epsilon_prime_bound(m: int, n: int, epsilon: float) -> float:
 
 
 def _hierarchy_reduction(
-    ratings: np.ndarray, weights: np.ndarray, alpha: float, nr: np.ndarray | None = None
+    ratings: np.ndarray, weights: np.ndarray, alpha: float, nr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit totals, effective opponent masses and probe utilities of the
-    established players of hierarchy_profile(ratings, weights).  nr is
-    N(ratings), computed here when not given.
+    established players of hierarchy_profile(ratings, weights), where
+    nr = N(ratings).
 
     Established rows endorse no users and fresh rows endorse only established
     ones, so E_u^2 = 0 and the fundamental matrix of tour_counts is exactly
@@ -282,7 +283,6 @@ def _hierarchy_reduction(
     keep = 1.0 - alpha
     visits = 1.0 + keep * weights.sum(axis=0)
     others = visits.sum() - visits  # exactly 0 when k = 1: free servers
-    nr = ratings / ratings.sum() if nr is None else nr  # f1's bits, without its checks
     masses = (others / visits)[:, None] * nr
     self_mass = 0.2 if visits.size == 1 else 0.0  # d_p
     q = keep / (1.0 - keep * self_mass)
@@ -304,13 +304,15 @@ def hierarchy_best_response_gains(
     vanish regardless of how the fresh players split their endorsements.
     """
     ratings, weights = _check_hierarchy(trust, fresh_weights)
-    return _hierarchy_gains(ratings, weights, (config or Config()).alpha)
+    return _hierarchy_gains(ratings, f1(ratings), weights, (config or Config()).alpha)
 
 
-def _hierarchy_gains(ratings: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """hierarchy_best_response_gains on checked trust and fresh weights: one
-    utility call scores every player's base row N(R) and waterfill row."""
-    nr = ratings / ratings.sum()
+def _hierarchy_gains(
+    ratings: np.ndarray, nr: np.ndarray, weights: np.ndarray, alpha: float
+) -> np.ndarray:
+    """hierarchy_best_response_gains on checked trust, nr = N(trust) and
+    checked fresh weights: one utility call scores every player's base row
+    N(R) and waterfill row."""
     visits, masses, probe = _hierarchy_reduction(ratings, weights, alpha, nr)
     rows = np.empty((2, *masses.shape))
     rows[0] = nr

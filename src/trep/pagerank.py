@@ -119,11 +119,10 @@ class _UserChain:
     def __init__(self, graph: RepGraph, config: Config):
         keep = 1.0 - config.alpha
         n, m, rows, cols, weights = graph.n, graph.m, graph.rows, graph.cols, graph.weights
-        self.shape, self.users = (n, n), cols.max() >= m  # a valid graph has edges
-        if self.users:
-            to_user = cols >= m
-            self.src, self.dst = rows[to_user], cols[to_user] - m
-            self.follow = keep * weights[to_user]
+        to_user = cols >= m
+        self.shape, self.src, self.dst = (n, n), rows[to_user], cols[to_user] - m
+        self.follow = keep * weights[to_user]
+        if self.src.size:
             server_mass = np.bincount(rows, np.where(to_user, 0.0, weights), n)
             start = 1.0 + np.bincount(self.dst, self.follow, n)
             self.start = start / start.sum()
@@ -134,7 +133,7 @@ class _UserChain:
 
     def __rmatmul__(self, pi: np.ndarray) -> np.ndarray:
         jump = np.add.reduce(pi * self.jump)  # not BLAS's dot, which rounds by CPU kernel
-        if not self.users:  # the bincount below would be all zeros
+        if not self.src.size:  # the bincount below would be all zeros
             return np.full(self.shape[0], jump)
         return np.bincount(self.dst, pi[self.src] * self.follow, self.shape[0]) + jump
 

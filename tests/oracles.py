@@ -332,7 +332,7 @@ def hierarchy_gains_reference(trust, fresh_weights, cfg):
     ratings = np.asarray(trust, dtype=float)
     weights = np.asarray(fresh_weights, dtype=float)
     nr = f1(ratings)
-    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha)
+    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha, nr)
     gains = np.zeros(visits.size)
     for player, (mass, visit) in enumerate(zip(masses, visits)):
         base = bipartite_utility_reference(nr, mass, ratings) / visit

@@ -708,7 +708,7 @@ def test_server_only_reduction_matches_expected_utilities(case):
     trust, fresh_weights, cfg, rows = case
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    visits, masses, _ = _hierarchy_reduction(trust, fresh_weights, cfg.alpha)
+    visits, masses, _ = _hierarchy_reduction(trust, fresh_weights, cfg.alpha, f1(trust))
     for player in range(k):
 
         def utility(row):
@@ -734,7 +734,7 @@ def test_hierarchy_gains_match_the_per_player_loop(case):
     np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    _, _, probe = _hierarchy_reduction(trust, fresh_weights, cfg.alpha)
+    _, _, probe = _hierarchy_reduction(trust, fresh_weights, cfg.alpha, f1(trust))
     for player in range(k):
         trial = probe_profile(profile, player, k, m)
         assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12
