@@ -43,6 +43,9 @@ CASES = {
     "nash/criterion11": ["nash", "--seed", "5", "--trials", "25"],
     # the hierarchy mode: two established players among six
     "nash/hierarchy-k2": ["nash", "--k", "2", "--n", "6", "--trials", "20"],
+    # one established player among six, eleven servers, one untrusted: every
+    # opponent mass is zero, so every trusted server is free
+    "nash/hierarchy-k1": ["nash", "--k", "1", "--trials", "5", "--seed", "4"],
     # five established players among eight, ten servers: the gains score
     # stacks of five rows of ten, past np.add.reduce's 8-wide unroll
     "nash/hierarchy-k5": ["nash", "--k", "5", "--trials", "6", "--seed", "3"],
