@@ -139,6 +139,78 @@ def _waterfill(ratings: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return allocation
 
 
+def _waterfill_rows(ratings: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """_waterfill(ratings, row) for every row of a (rows, m) stack of masses,
+    bit for bit, each row nonnegative and finite.
+
+    Each row takes _waterfill's steps on its own entries.  Its non-contested
+    servers sort after its contested ones (a stable sort keeps the contested
+    order), and the cumulative sums past the contested prefix are never read.
+    Only each row's spread total is a loop: NumPy's pairwise sum of a row
+    slice adds in the order of _waterfill's sum, a padded or segmented sum
+    does not.
+    """
+    m = ratings.size
+    supported = ratings > 0
+    if not supported.any():  # nothing is worth anything; split evenly
+        return np.full(masses.shape, 1.0 / m)
+    free = supported & (masses <= 0)
+    free_count = free.sum(axis=1)
+    budget = 1.0 - FREE_SERVER_STAKE * free_count
+    contested = supported & (masses > 0)
+    if not contested.any():  # every supported server is free, in every row at k = 1
+        return np.where(free, (FREE_SERVER_STAKE + budget / free_count)[:, None], 0.0)
+    count = contested.sum(axis=1)
+    allocation = np.where(free, FREE_SERVER_STAKE, 0.0)
+    lonely = count == 0
+    if lonely.any():
+        share = FREE_SERVER_STAKE + budget[lonely] / free_count[lonely]
+        allocation[lonely] = np.where(free[lonely], share[:, None], 0.0)
+
+    rows = np.arange(masses.shape[0])
+    ratio = np.divide(ratings, masses, out=np.full(masses.shape, -np.inf), where=contested)
+    order = (-ratio).argsort(axis=1, kind="stable")
+    opponents = masses[rows[:, None], order]
+    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(opponents)
+    sqrt_level = sqrt_gain.cumsum(axis=1) / (budget[:, None] + opponents.cumsum(axis=1))
+    column = np.arange(m)
+    ahead = np.divide(sqrt_gain, sqrt_level, out=np.zeros(masses.shape), where=column < count[:, None])
+    size = np.where(ahead > opponents, column + 1, 0).max(axis=1)
+    active = column < size[:, None]
+    level = sqrt_level[rows, np.maximum(size - 1, 0)][:, None]
+    spread = np.divide(sqrt_gain, level, out=np.zeros(masses.shape), where=active)
+    spread = np.maximum(spread - opponents, 0.0)
+    totals = [row[:end].sum() for row, end in zip(spread, size.tolist())]
+    spread *= np.divide(budget, totals, out=np.zeros(rows.size), where=size > 0)[:, None]
+    stuck = (count > 0) & (size == 0)  # the budget is below the rounding of b: no share registers
+    spread[stuck, 0] = budget[stuck]
+    active[stuck, 0] = True
+    allocation[active.nonzero()[0], order[active]] = spread[active]
+    return allocation
+
+    ratio = np.divide(ratings, masses, out=np.full(masses.shape, -np.inf), where=contested)
+    order = (-ratio).argsort(axis=1, kind="stable")
+    opponents = np.take_along_axis(masses, order, axis=1)
+    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
+    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(opponents)
+    sqrt_level = sqrt_gain.cumsum(axis=1) / (budget[:, None] + opponents.cumsum(axis=1))
+    column = np.arange(m)
+    ahead = np.divide(sqrt_gain, sqrt_level, out=np.zeros(masses.shape), where=column < count[:, None])
+    size = np.where(ahead > opponents, column + 1, 0).max(axis=1)
+    level = np.take_along_axis(sqrt_level, np.maximum(size - 1, 0)[:, None], axis=1)
+    active = column < size[:, None]
+    spread = np.divide(sqrt_gain, level, out=np.zeros(masses.shape), where=active)
+    spread = np.maximum(spread - opponents, 0.0)
+    for row in size.nonzero()[0].tolist():
+        spread[row] *= budget[row] / spread[row, : size[row]].sum()
+    stuck = (count > 0) & (size == 0)  # the budget is below the rounding of b: no share registers
+    spread[stuck, 0] = budget[stuck]
+    active[stuck, 0] = True
+    allocation[active.nonzero()[0], order[active]] = spread[active]
+    return allocation
+
+
 def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> np.ndarray:
     """Interior best response x_j = n sqrt(R_j R'_j) / sum_k sqrt(R_k R'_k) - (n-1) N(R')_j.
 
@@ -262,7 +334,9 @@ def _hierarchy_reduction(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Visit totals, effective opponent masses and probe utilities of the
     established players of hierarchy_profile(ratings, weights), where
-    nr = N(ratings).
+    nr = N(ratings), for one (n - k, k) matrix of fresh weights or for each
+    draw of a (draws, n - k, k) stack: shapes (k,), (k, m) and (k,), with
+    the stack's leading axis in front.
 
     Established rows endorse no users and fresh rows endorse only established
     ones, so E_u^2 = 0 and the fundamental matrix of tour_counts is exactly
@@ -281,10 +355,10 @@ def _hierarchy_reduction(
     with own = 0.8 (1 + q d_p) + q (0.2 - d_p).
     """
     keep = 1.0 - alpha
-    visits = 1.0 + keep * weights.sum(axis=0)
-    others = visits.sum() - visits  # exactly 0 when k = 1: free servers
-    masses = (others / visits)[:, None] * nr
-    self_mass = 0.2 if visits.size == 1 else 0.0  # d_p
+    visits = 1.0 + keep * weights.sum(axis=-2)
+    others = visits.sum(axis=-1, keepdims=True) - visits  # exactly 0 when k = 1: free servers
+    masses = (others / visits)[..., None] * nr
+    self_mass = 0.2 if visits.shape[-1] == 1 else 0.0  # d_p
     q = keep / (1.0 - keep * self_mass)
     own = 0.8 * (1.0 + q * self_mass) + q * (0.2 - self_mass)
     return visits, masses, ratings.sum() * own / (own * visits + others)
@@ -304,19 +378,19 @@ def hierarchy_best_response_gains(
     vanish regardless of how the fresh players split their endorsements.
     """
     ratings, weights = _check_hierarchy(trust, fresh_weights)
-    return _hierarchy_gains(ratings, f1(ratings), weights, (config or Config()).alpha)
+    return _hierarchy_gains(ratings, f1(ratings), weights[None], (config or Config()).alpha)[0]
 
 
 def _hierarchy_gains(
     ratings: np.ndarray, nr: np.ndarray, weights: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """hierarchy_best_response_gains on checked trust, nr = N(trust) and
-    checked fresh weights: one utility call scores every player's base row
-    N(R) and waterfill row."""
+    """hierarchy_best_response_gains for every draw of a (draws, n - k, k)
+    stack of checked fresh weights, on checked trust and nr = N(trust), as a
+    (draws, k) array: one waterfill call fills every draw's best-response
+    rows, and one utility call scores them and the base rows N(R)."""
     visits, masses, probe = _hierarchy_reduction(ratings, weights, alpha, nr)
     rows = np.empty((2, *masses.shape))
     rows[0] = nr
-    for row, mass in zip(rows[1], masses):
-        row[:] = _waterfill(ratings, mass)
+    rows[1] = _waterfill_rows(ratings, masses.reshape(-1, nr.size)).reshape(masses.shape)
     base, best = _bipartite_utility(rows, masses, ratings) / visits
     return np.maximum(0.0, np.maximum(best, probe) - base)

@@ -9,7 +9,10 @@ from trep.decoder import f1
 from trep.equilibrium import (
     DegenerateBelief,
     _common_belief_defect,
+    _hierarchy_gains,
     _hierarchy_reduction,
+    _waterfill,
+    _waterfill_rows,
     best_response_closed_form,
     best_response_to_mass,
     epsilon_prime_bound,
@@ -205,6 +208,49 @@ def test_best_response_matches_the_reference_bit_for_bit(vectors):
     trust, mass = vectors
     got = best_response_to_mass(trust, mass)
     assert same_bits(got, best_response_to_mass_reference(trust, mass))
+
+
+@st.composite
+def waterfill_stacks(draw):
+    """Trust and a (rows, m) stack of opponent masses, rows in 1..16 and m in
+    1..300, so that a row's spread can pass NumPy's 8-wide unroll and its
+    128-element pairwise block.  Entries come from small palettes of
+    KERNEL_RATING and KERNEL_MASS values plus exact zeros, so worthless and
+    free servers and ties in R / b occur; some rows are all free, some hold
+    1e20 on every server (the budget is below the rounding of b), some are
+    multiples of N(trust), as the hierarchy gains fill them; and some stacks
+    are all free, as every stack is at k = 1."""
+    rows, m = draw(st.integers(1, 16)), draw(st.integers(1, 300))
+    ratings = draw(st.lists(KERNEL_RATING, min_size=1, max_size=6)) + [0.0]
+    masses = draw(st.lists(KERNEL_MASS, min_size=1, max_size=6)) + [0.0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trust = rng.choice(ratings, size=m)
+    stack = rng.choice(masses, size=(rows, m))
+    kinds = rng.integers(0, 4, size=rows)
+    stack[kinds == 1] = 0.0
+    stack[kinds == 2] = 1e20
+    if trust.any():
+        scaled = (kinds == 3).nonzero()[0]
+        stack[scaled] = rng.uniform(0.0, 10.0, size=(scaled.size, 1)) * (trust / trust.sum())
+    if draw(st.booleans()):
+        stack[:] = 0.0
+    return trust, stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(waterfill_stacks())
+@example((np.array([0.0, 0.0]), np.array([[0.5, 0.3], [0.0, 0.0]])))  # nothing is worth anything
+@example((np.array([0.5, 0.0]), np.array([[0.0, 0.3], [0.0, 0.0]])))  # every row all free
+@example((np.array([0.5, 0.4, 0.2]), np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.0]])))
+@example((np.array([0.5, 1.0]), np.array([[1e20, 1e20], [0.2, 0.3]])))  # no share registers
+@example((np.array([1.0, 0.01]), np.array([[0.1, 5.0]])))  # a contested server left out
+@example((np.array([TINY, TINY]), np.array([[TINY, TINY], [0.0, TINY]])))  # underflowing products
+@example((np.array([0.5, 0.25, 0.5]), np.array([[0.2, 0.1, 0.2]])))  # ties in R / b
+@example((np.array([0.7]), np.array([[0.2], [0.0], [1e20]])))
+def test_waterfill_rows_match_the_waterfill_per_row_bit_for_bit(case):
+    trust, stack = case
+    got = _waterfill_rows(trust, stack)
+    assert same_bits(got, np.array([_waterfill(trust, row) for row in stack]))
 
 
 @st.composite
@@ -740,12 +786,28 @@ def test_hierarchy_gains_match_the_per_player_loop(case):
         assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12
 
 
+@st.composite
+def hierarchy_stacks(draw):
+    """Trust, a stack of 1..6 draws of fresh weights and a config.  n runs to
+    24, so that sums over the fresh players or the established ones can pass
+    NumPy's 8-wide unroll."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(1, n - 1))
+    m = draw(st.integers(1, 20))
+    trust = np.array(draw(st.lists(WEIGHT, min_size=m, max_size=m)))
+    assume(trust.any())
+    stack = np.array([_distributions(draw, n - k, k) for _ in range(draw(st.integers(1, 6)))])
+    return trust, stack, Config(alpha=draw(st.sampled_from([0.05, 0.15, 0.5])))
+
+
 @settings(max_examples=60, deadline=None)
-@given(hierarchy_cases())
+@given(hierarchy_stacks())
 def test_hierarchy_gains_match_the_reference_bit_for_bit(case):
-    trust, fresh_weights, cfg, _ = case
-    got = hierarchy_best_response_gains(trust, fresh_weights, cfg)
-    assert same_bits(got, hierarchy_gains_reference(trust, fresh_weights, cfg))
+    # One stacked call scores every draw; the public function scores one.
+    trust, stack, cfg = case
+    expected = np.array([hierarchy_gains_reference(trust, w, cfg) for w in stack])
+    assert same_bits(_hierarchy_gains(trust, f1(trust), stack, cfg.alpha), expected)
+    assert same_bits(hierarchy_best_response_gains(trust, stack[0], cfg), expected[0])
 
 
 @settings(max_examples=60, deadline=None)
