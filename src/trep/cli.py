@@ -294,9 +294,11 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     # AllServersUntrusted and DegenerateBelief are ValueErrors, so they are
     # caught first; NonConvergence is a RuntimeError, ParseError a ValueError.
+    # A MemoryError is a run-time failure too: NumPy raises it for a dense
+    # profile of --n players that cannot be allocated.
     try:
         return command(args)
-    except (AllServersUntrusted, DegenerateBelief, RuntimeError) as exc:
+    except (AllServersUntrusted, DegenerateBelief, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -189,27 +189,6 @@ def _waterfill_rows(ratings: np.ndarray, masses: np.ndarray) -> np.ndarray:
     allocation[active.nonzero()[0], order[active]] = spread[active]
     return allocation
 
-    ratio = np.divide(ratings, masses, out=np.full(masses.shape, -np.inf), where=contested)
-    order = (-ratio).argsort(axis=1, kind="stable")
-    opponents = np.take_along_axis(masses, order, axis=1)
-    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
-    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(opponents)
-    sqrt_level = sqrt_gain.cumsum(axis=1) / (budget[:, None] + opponents.cumsum(axis=1))
-    column = np.arange(m)
-    ahead = np.divide(sqrt_gain, sqrt_level, out=np.zeros(masses.shape), where=column < count[:, None])
-    size = np.where(ahead > opponents, column + 1, 0).max(axis=1)
-    level = np.take_along_axis(sqrt_level, np.maximum(size - 1, 0)[:, None], axis=1)
-    active = column < size[:, None]
-    spread = np.divide(sqrt_gain, level, out=np.zeros(masses.shape), where=active)
-    spread = np.maximum(spread - opponents, 0.0)
-    for row in size.nonzero()[0].tolist():
-        spread[row] *= budget[row] / spread[row, : size[row]].sum()
-    stuck = (count > 0) & (size == 0)  # the budget is below the rounding of b: no share registers
-    spread[stuck, 0] = budget[stuck]
-    active[stuck, 0] = True
-    allocation[active.nonzero()[0], order[active]] = spread[active]
-    return allocation
-
 
 def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> np.ndarray:
     """Interior best response x_j = n sqrt(R_j R'_j) / sum_k sqrt(R_k R'_k) - (n-1) N(R')_j.

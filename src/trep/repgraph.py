@@ -17,6 +17,7 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12       # row sums within this of 1 are accepted verbatim
 ROW_SUM_RENORM = 1e-9     # drift below this is renormalized, above is rejected
+LISTED_ROWS = 10          # bad rows a load error lists when users outnumber the edges
 
 
 class ParseError(ValueError):
@@ -200,13 +201,18 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     structural violations (bad row sums, dangling users) raise ValueError.
     A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
-    is built.
+    is built.  A file that leaves more than LISTED_ROWS users without an edge
+    is refused before any array of n entries is built: its error lists the
+    first LISTED_ROWS bad rows and counts the rest.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         text = fh.read()
     n, m, alpha, trust, rows, cols, weights = _parse(text)
     keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
+    edged = np.count_nonzero(np.diff(rows)) + 1 if rows.size else 0  # rows are sorted
+    if n - edged > LISTED_ROWS:
+        raise ValueError(_edgeless_error(n, m, rows, weights))
     totals = np.bincount(rows, weights, minlength=n)
     drift = np.abs(totals - 1.0)
     drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[rows]
@@ -217,6 +223,34 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     graph._fill(n, m, rows, cols, weights, trust)
     _require_valid(graph)
     return graph, Config(alpha=alpha)
+
+
+def _edgeless_error(n: int, m: int, rows: np.ndarray, weights: np.ndarray) -> str:
+    """The error of load for a file that leaves more than LISTED_ROWS users
+    without an edge, from arrays of the edges' size: validate's messages,
+    after load's renormalization, for the first LISTED_ROWS bad rows, then a
+    count of the rest.  The parser refuses negative weights, so a bad row is
+    edgeless or sums to something else than 1."""
+    users, index = np.unique(rows, return_inverse=True)
+    totals = np.bincount(index, weights)  # each row's total added as validate adds it
+    drift = np.abs(totals - 1.0)
+    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[index]
+    weights = weights.copy()
+    weights[drifting] /= totals[index[drifting]]
+    totals = np.bincount(index, weights)
+    sums = zip(users.tolist(), totals.tolist())
+    bad = {i: total for i, total in sums if not abs(total - 1.0) <= ROW_SUM_TOL}
+    edged = set(users.tolist())
+    listed = []
+    for i in range(min(n, LISTED_ROWS + users.size)):  # holds the first LISTED_ROWS edgeless rows
+        if i not in edged:
+            listed.append(f"row {i + 1} is all zeros: every user must endorse someone")
+        elif i in bad:
+            listed.append(f"row {i + 1} sums to {bad[i]:.12g}, expected 1")
+    rest = n - users.size + len(bad) - LISTED_ROWS
+    violations = [] if m >= 1 else [f"m must be at least 1, got {m}"]
+    violations += listed[:LISTED_ROWS] + [f"{rest} more rows are all zeros or do not sum to 1"]
+    return "; ".join(violations)
 
 
 def _parse(text: str) -> tuple:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trep.cli
+import trep.decoder
 import trep.pagerank
 from trep.bootstrap import BootstrapConfig, honest_majority_check, run_bootstrap, select_committee
 from trep.cli import DEFAULT_EPSILONS, main
@@ -193,6 +194,32 @@ def test_decode_iteration_budget_exhausted_exits_1(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+NO_MEMORY = "Unable to allocate 671. GiB for an array with shape (300000, 300005) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "argv, owner, builder",
+    [
+        (["noisy", "--epsilon", "0.01", "--delta", "0.05"], trep.decoder, "truth_telling_profile"),
+        (["nash", "--k", "1"], trep.cli, "_hierarchy_profile"),
+    ],
+)
+def test_an_allocation_failure_exits_1_and_writes_nothing(
+    scenario, tmp_path, capsys, monkeypatch, argv, owner, builder
+):
+    # With --n 300000 NumPy raises MemoryError for the dense profile; the
+    # builder raises it here without allocating anything.
+    def unallocatable(*args):
+        raise MemoryError(NO_MEMORY)
+
+    monkeypatch.setattr(owner, builder, unallocatable)
+    out = tmp_path / "o"
+    rc = main([argv[0], str(scenario), "--n", "300000", *argv[1:], "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {NO_MEMORY}\n"
+    assert not out.exists()
+
+
 def test_decode_all_untrusted_exits_1(tmp_path, capsys):
     path = tmp_path / "untrusted.trep"
     path.write_text(ALL_UNTRUSTED, encoding="utf-8")
@@ -241,6 +268,20 @@ def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, co
     args = ["nash", str(scenario), "--out", str(tmp_path / "out"), "--k", "2", "--trials", "10"]
     assert main(args) == 0
     assert len(graphs) == 10
+
+
+def test_nash_hierarchy_blocks_of_draws_leave_the_bytes(scenario, tmp_path, monkeypatch, capsys):
+    # One stacked gains call per block of draws: blocks of one draw, of
+    # three and of every draw write the same files and stdout.  A draw of
+    # n = 7, k = 2 on m = 2 servers counts (n - k + 3 m) k = 22 floats.
+    args = ["nash", str(scenario), "--k", "2", "--n", "7", "--trials", "7", "--seed", "4"]
+    outputs = []
+    for floats in (1, 3 * 22, trep.cli.HIERARCHY_BLOCK):
+        monkeypatch.setattr(trep.cli, "HIERARCHY_BLOCK", floats)
+        out = tmp_path / str(floats)
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, (out / "nash.csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_nash_hierarchy_checks_trust_once_per_command(scenario, tmp_path, count_calls):

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from trep import repgraph
 from trep.repgraph import (
+    LISTED_ROWS,
     Config,
     ParseError,
     RepGraph,
@@ -151,6 +153,54 @@ def test_validate_builds_no_dense_row_for_an_edgeless_user():
     assert validate(graph) == [
         f"row {i} is all zeros: every user must endorse someone" for i in range(2, n + 1)
     ]
+
+
+def _capped(violations, m=1):
+    """validate's messages as load lists them for a file that leaves more
+    than LISTED_ROWS users without an edge."""
+    listed = LISTED_ROWS + (m < 1)  # m's message comes first
+    rest = len(violations) - listed
+    return "; ".join(violations[:listed] + [f"{rest} more rows are all zeros or do not sum to 1"])
+
+
+def test_load_refuses_more_users_than_its_edges_cover_in_a_short_message(tmp_path):
+    # validate lists all 199,999 edgeless rows (11 MB of text); load lists
+    # ten and counts the rest, and allocates far less than one float a user.
+    n = 200_000
+    path = tmp_path / "wide.trep"
+    path.write_text(f"trep v1\nusers {n}\nservers 1\nalpha 0.15\nedge 1 1 0.5\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == _capped(validate(RepGraph.from_coo(n, 1, [0], [0], [0.5])))
+    assert len(str(info.value)) < 1_000
+    assert peak < n
+
+
+def test_load_lists_the_first_bad_rows_of_a_file_with_many_edgeless_users(tmp_path):
+    # Edgeless users among rows that sum to 1, drift within the renormalized
+    # band, drift beyond it or hold a NaN weight; the list is validate's, cut
+    # after LISTED_ROWS rows (m = 0 adds its own message first).
+    rng = np.random.default_rng(29)
+    path = tmp_path / "sparse.trep"
+    for _ in range(60):
+        n, m = int(rng.integers(LISTED_ROWS + 1, 60)), int(rng.integers(0, 4))
+        edged = np.sort(rng.choice(n, size=int(rng.integers(0, n - LISTED_ROWS)), replace=False))
+        lines = ["trep v1", f"users {n}", f"servers {m}", "alpha 0.15"]
+        for i in edged.tolist():
+            targets = np.sort(rng.choice(m + n, size=int(rng.integers(1, 4)), replace=False))
+            weights = rng.dirichlet(np.ones(targets.size)) * rng.choice([1.0, 1.0 + 5e-10, 1.25, np.nan])
+            lines += [f"edge {i + 1} {j + 1} {w!r}" for j, w in zip(targets.tolist(), weights.tolist())]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as expected:
+            load_oracle(path)
+        with pytest.raises(ValueError) as got:
+            load(path)
+        assert str(got.value) == _capped(str(expected.value).split("; "), m)
 
 
 def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows():
