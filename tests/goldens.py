@@ -40,6 +40,9 @@ CASES = {
     "decode/users200": ["decode"],
     # every user endorses users only: AllServersUntrusted, exit 1
     "decode/servers-untrusted": ["decode"],
+    # a million users, six with an edge: load lists the first ten bad rows,
+    # row 2's drift renormalized away, and counts the rest, exit 2
+    "decode/edgeless-users": ["decode"],
     "nash/criterion11": ["nash", "--seed", "5", "--trials", "25"],
     # the hierarchy mode: two established players among six
     "nash/hierarchy-k2": ["nash", "--k", "2", "--n", "6", "--trials", "20"],
