@@ -107,7 +107,8 @@ def validate(graph: RepGraph) -> list[str]:
     O(n + nnz).  A row's total is its weights added one at a time in column
     order, as bincount adds them over the sorted edge list.  A row with no
     negative weight is accepted when its total lies within ROW_SUM_TOL of 1;
-    otherwise its message prints that total.
+    otherwise its message prints that total.  _row_violations words every
+    row message, also those load lists when it refuses many edgeless users.
     """
     violations: list[str] = []
     n, m = graph.n, graph.m
@@ -115,24 +116,7 @@ def validate(graph: RepGraph) -> list[str]:
         violations.append(f"n must be at least 2, got {n}")
     if m < 1:
         violations.append(f"m must be at least 1, got {m}")
-    rows, cols, weights = graph.rows, graph.cols, graph.weights
-    totals = np.bincount(rows, weights, minlength=n)
-    accept = np.abs(totals - 1.0) <= ROW_SUM_TOL
-    negative = None
-    if weights.size and not weights.min() >= 0:  # NaN too, which leaves negative all False
-        negative = np.bincount(rows, weights < 0, minlength=n) > 0
-        accept &= ~negative
-    for i in (~accept).nonzero()[0].tolist():  # NaN totals are not accepted either
-        lo, hi = np.searchsorted(rows, [i, i + 1]).tolist()
-        if lo == hi:  # stored weights are nonzero, so only an edgeless row is all zeros
-            violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
-            continue
-        if negative is not None and negative[i]:
-            edge = weights[lo:hi]
-            k = int(np.argmin(edge))  # cols are sorted: the dense row's first minimum (or NaN)
-            violations.append(f"row {i + 1} column {cols[lo + k] + 1}: negative weight {edge[k]:.12g}")
-            continue
-        violations.append(f"row {i + 1} sums to {totals[i]:.12g}, expected 1")
+    violations += _row_violations(n, graph.rows, graph.cols, graph.weights)
     if graph.trust is not None:
         trust = graph.trust
         if trust.shape != (m,):
@@ -143,6 +127,30 @@ def validate(graph: RepGraph) -> list[str]:
                     violations.append(f"trust[{j}] = {value:.12g} lies outside [0, 1]")
             if trust.size and not np.any(trust > 0):
                 violations.append("trust has no positive entry")
+    return violations
+
+
+def _row_violations(n, rows, cols, weights, limit=None) -> list[str]:
+    """validate's messages for rows 0..n-1 of this edge list, the first
+    limit of them (all when limit is None), in row order."""
+    violations: list[str] = []
+    totals = np.bincount(rows, weights, minlength=n)
+    accept = np.abs(totals - 1.0) <= ROW_SUM_TOL
+    negative = None
+    if weights.size and not weights.min() >= 0:  # NaN too, which leaves negative all False
+        negative = np.bincount(rows, weights < 0, minlength=n) > 0
+        accept &= ~negative
+    for i in (~accept).nonzero()[0][:limit].tolist():  # NaN totals are not accepted either
+        lo, hi = np.searchsorted(rows, [i, i + 1]).tolist()
+        if lo == hi:  # stored weights are nonzero, so only an edgeless row is all zeros
+            violations.append(f"row {i + 1} is all zeros: every user must endorse someone")
+            continue
+        if negative is not None and negative[i]:
+            edge = weights[lo:hi]
+            k = int(np.argmin(edge))  # cols are sorted: the dense row's first minimum (or NaN)
+            violations.append(f"row {i + 1} column {cols[lo + k] + 1}: negative weight {edge[k]:.12g}")
+            continue
+        violations.append(f"row {i + 1} sums to {totals[i]:.12g}, expected 1")
     return violations
 
 
@@ -202,8 +210,9 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     A row whose total (as validate() adds it) lies between ROW_SUM_TOL and
     ROW_SUM_RENORM from 1 is silently divided by that total.  No dense matrix
     is built.  A file that leaves more than LISTED_ROWS users without an edge
-    is refused before any array of n entries is built: its error lists the
-    first LISTED_ROWS bad rows and counts the rest.
+    is refused before any array of n entries is built: its error lists
+    validate's messages for the first LISTED_ROWS bad rows, computed from
+    arrays of the edges' size, and counts the rest.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         text = fh.read()
@@ -211,46 +220,25 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
     edged = np.count_nonzero(np.diff(rows)) + 1 if rows.size else 0  # rows are sorted
-    if n - edged > LISTED_ROWS:
-        raise ValueError(_edgeless_error(n, m, rows, weights))
-    totals = np.bincount(rows, weights, minlength=n)
+    wide = n - edged > LISTED_ROWS
+    # each edge's row, or if wide its rank among the edged users (no array of n entries)
+    index = np.cumsum(np.diff(rows, prepend=-1) != 0) - 1 if wide else rows
+    totals = np.bincount(index, weights)
     drift = np.abs(totals - 1.0)
-    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[rows]
-    weights[drifting] /= totals[rows[drifting]]
+    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[index]
+    weights[drifting] /= totals[index[drifting]]
+    if wide:  # the first LISTED_ROWS + edged rows hold the first LISTED_ROWS bad rows
+        cut = np.searchsorted(rows, LISTED_ROWS + edged)
+        listed = _row_violations(LISTED_ROWS + edged, rows[:cut], cols[:cut], weights[:cut], LISTED_ROWS)
+        bad = np.count_nonzero(~(np.abs(np.bincount(index, weights) - 1.0) <= ROW_SUM_TOL))  # NaN too
+        listed.append(f"{n - edged + bad - LISTED_ROWS} more rows are all zeros or do not sum to 1")
+        raise ValueError("; ".join(([] if m >= 1 else [f"m must be at least 1, got {m}"]) + listed))
     # _parse proved the edges in range, sorted by row then column and each
     # pair at most once, so from_coo would only check that again
     graph = RepGraph.__new__(RepGraph)
     graph._fill(n, m, rows, cols, weights, trust)
     _require_valid(graph)
     return graph, Config(alpha=alpha)
-
-
-def _edgeless_error(n: int, m: int, rows: np.ndarray, weights: np.ndarray) -> str:
-    """The error of load for a file that leaves more than LISTED_ROWS users
-    without an edge, from arrays of the edges' size: validate's messages,
-    after load's renormalization, for the first LISTED_ROWS bad rows, then a
-    count of the rest.  The parser refuses negative weights, so a bad row is
-    edgeless or sums to something else than 1."""
-    users, index = np.unique(rows, return_inverse=True)
-    totals = np.bincount(index, weights)  # each row's total added as validate adds it
-    drift = np.abs(totals - 1.0)
-    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[index]
-    weights = weights.copy()
-    weights[drifting] /= totals[index[drifting]]
-    totals = np.bincount(index, weights)
-    sums = zip(users.tolist(), totals.tolist())
-    bad = {i: total for i, total in sums if not abs(total - 1.0) <= ROW_SUM_TOL}
-    edged = set(users.tolist())
-    listed = []
-    for i in range(min(n, LISTED_ROWS + users.size)):  # holds the first LISTED_ROWS edgeless rows
-        if i not in edged:
-            listed.append(f"row {i + 1} is all zeros: every user must endorse someone")
-        elif i in bad:
-            listed.append(f"row {i + 1} sums to {bad[i]:.12g}, expected 1")
-    rest = n - users.size + len(bad) - LISTED_ROWS
-    violations = [] if m >= 1 else [f"m must be at least 1, got {m}"]
-    violations += listed[:LISTED_ROWS] + [f"{rest} more rows are all zeros or do not sum to 1"]
-    return "; ".join(violations)
 
 
 def _parse(text: str) -> tuple:

@@ -747,7 +747,7 @@ def hierarchy_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(hierarchy_cases())
-def test_server_only_reduction_matches_expected_utilities(case):
+def test_hierarchy_reduction_matches_expected_utilities(case):
     # An established player's utility over its own server row is
     # bipartite_utility(x, b_p, R) / v_p, so the best response to b_p must beat
     # every server-only row under the real expected utilities.

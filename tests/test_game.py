@@ -207,7 +207,7 @@ def test_moving_user_mass_to_single_weak_server_can_hurt():
 
 # ------------------------------------------------------------------- types
 
-def test_validate_profile():
+def test_utilities_reject_invalid_profiles():
     trust = np.array([0.5, 0.5])
     good = bipartite_profile([[0.5, 0.5], [0.5, 0.5]])
     assert validate(RepGraph(n=2, m=2, edges=good)) == []
@@ -222,7 +222,7 @@ def test_validate_profile():
         realized_utilities(bad, np.array([1, 0]), CFG)
 
 
-def test_validate_profile_rejects_nan():
+def test_utilities_reject_nan_profiles():
     trust = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
         expected_utilities(np.array([[np.nan, 0, 1, 0], [1, 0, 0, 0]]), trust, CFG)

@@ -163,7 +163,7 @@ def _capped(violations, m=1):
     return "; ".join(violations[:listed] + [f"{rest} more rows are all zeros or do not sum to 1"])
 
 
-def test_load_refuses_more_users_than_its_edges_cover_in_a_short_message(tmp_path):
+def test_load_refuses_more_users_than_its_edges_cover_in_a_short_message(tmp_path, monkeypatch):
     # validate lists all 199,999 edgeless rows (11 MB of text); load lists
     # ten and counts the rest, and allocates far less than one float a user.
     n = 200_000
@@ -179,6 +179,27 @@ def test_load_refuses_more_users_than_its_edges_cover_in_a_short_message(tmp_pat
     assert str(info.value) == _capped(validate(RepGraph.from_coo(n, 1, [0], [0], [0.5])))
     assert len(str(info.value)) < 1_000
     assert peak < n
+    # 50,000 rows that sum to 1.25, then 11 edgeless users: validate's row
+    # check words the ten listed rows and is never asked for more of them
+    edged = 50_000
+    lines = ["trep v1", f"users {edged + 11}", "servers 1", "alpha 0.15"]
+    lines += [f"edge {i} 1 1.25" for i in range(1, edged + 1)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    counts = []
+    row_violations = repgraph._row_violations
+
+    def counted(*args, **kwargs):
+        violations = row_violations(*args, **kwargs)
+        counts.append(len(violations))
+        return violations
+
+    monkeypatch.setattr(repgraph, "_row_violations", counted)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    monkeypatch.undo()
+    graph = RepGraph.from_coo(edged + 11, 1, np.arange(edged), np.zeros(edged), np.full(edged, 1.25))
+    assert str(info.value) == _capped(validate(graph))
+    assert counts and max(counts) <= LISTED_ROWS
 
 
 def test_load_lists_the_first_bad_rows_of_a_file_with_many_edgeless_users(tmp_path):
@@ -230,7 +251,7 @@ def test_validate_matches_the_dense_row_oracle_on_wide_sparse_rows():
 
 # ---------------------------------------------------- strategy profiles as graphs
 
-def test_from_strategies_copies_rows():
+def test_dense_graph_copies_rows():
     profile = np.zeros((2, 4))
     profile[:, 0] = 2 / 3
     profile[:, 1] = 1 / 3
@@ -239,7 +260,7 @@ def test_from_strategies_copies_rows():
     np.testing.assert_array_equal(dense(g), profile)
 
 
-def test_from_strategies_user_action_maps_to_user_edge():
+def test_dense_graph_user_action_maps_to_user_edge():
     profile = np.zeros((2, 4))
     profile[0, 2] = 1.0  # action m+1 endorses user 1
     profile[1, 0] = 1.0
@@ -247,7 +268,7 @@ def test_from_strategies_user_action_maps_to_user_edge():
     assert dense(g)[0, 2] == 1.0
 
 
-def test_from_strategies_pure_strategy():
+def test_dense_graph_pure_strategy():
     profile = np.zeros((2, 4))
     profile[:, 0] = 1.0
     g = RepGraph(n=2, m=2, edges=profile)
@@ -255,7 +276,7 @@ def test_from_strategies_pure_strategy():
     assert row[0] == 1.0 and row[1:].sum() == 0.0
 
 
-def test_from_strategies_dimension_mismatch():
+def test_dense_graph_dimension_mismatch():
     with pytest.raises(ValueError):
         RepGraph(n=2, m=3, edges=np.ones((2, 4)) / 4)
     with pytest.raises(ValueError):
