@@ -134,7 +134,7 @@ def cmd_nash(args) -> int:
             f"max_gain {_fmt(max(gains))} max_rho_drift {_fmt(drifts.max())}"
         )
         return 0
-    report = verify_unique_nash(trust, n, probes=args.trials, rng=substream(args.seed, "probes"))
+    report = verify_unique_nash(trust, n)
     rows = [(str(i + 1), _fmt(report.utility), _fmt(report.epsilon_prime)) for i in range(n)]
     _write_text(Path(args.out) / "nash.csv", _csv("player,utility,gain", rows))
     print(f"epsilon_prime {_fmt(report.epsilon_prime)}")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="player count override")
     p.add_argument("--k", type=int, default=None, help="established player count (hierarchy mode)")
-    p.add_argument("--trials", type=_trial_count, default=100, help="probe count or hierarchy draws")
+    p.add_argument("--trials", type=_trial_count, default=100, help="hierarchy draws (read only with --k)")
 
     p = commands.add_parser("noisy", help="sweep belief noise and measure the defect")
     _add_common(p)

@@ -62,9 +62,13 @@ def count_inversions(rho: np.ndarray, trust: np.ndarray) -> int:
     trust = np.asarray(trust, dtype=float)
     if rho.shape != trust.shape or rho.ndim != 1:
         raise ValueError("rho and trust must be vectors of equal length")
-    above = trust[:, None] > trust[None, :]  # (i, j) with i strictly more trusted
-    whole = int(np.count_nonzero(above & (rho[:, None] < rho[None, :])))
-    halves = int(np.count_nonzero(above & (rho[:, None] == rho[None, :])))
+    block = max(1, 2**20 // max(rho.size, 1))  # rows per block: memory stays near a megabyte
+    whole = halves = 0
+    for start in range(0, rho.size, block):
+        rows = slice(start, start + block)
+        above = trust[rows, None] > trust[None, :]  # (i, j) with i strictly more trusted
+        whole += int(np.count_nonzero(above & (rho[rows, None] < rho[None, :])))
+        halves += int(np.count_nonzero(above & (rho[rows, None] == rho[None, :])))
     return whole + (halves + 1) // 2
 
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .game import _bipartite_utility, _check_trust, f1
 from .repgraph import Config
-from .rng import substream
 
 # Free servers (positive trust, no opponent mass) are captured by an
 # arbitrarily small stake; the supremum is not attained, so we fix one.
@@ -29,7 +28,8 @@ class DegenerateBelief(ValueError):
 class EquilibriumReport:
     """Outcome of an equilibrium verification run.
 
-    Every player plays the same row, so utility is each player's payoff.
+    Every player plays the same row, so utility is each player's payoff;
+    probe_min is the least payoff of that row against any opponent play.
     """
 
     epsilon_prime: float
@@ -247,32 +247,22 @@ def _common_belief_defect(
     return max(0.0, max(utilities) - base), deviation, base
 
 
-def verify_unique_nash(
-    trust: np.ndarray,
-    n: int,
-    probes: int = 100,
-    rng: np.random.Generator | None = None,
-) -> EquilibriumReport:
+def verify_unique_nash(trust: np.ndarray, n: int) -> EquilibriumReport:
     """Check that proportional-to-trust endorsement is a Nash equilibrium.
 
     Computes the exact best response against the equilibrium profile (its
-    gain bounds the equilibrium defect), compares the closed form with the
-    waterfilling solver, and probes random opponent deviations to confirm
-    the equilibrium player never drops below the equilibrium value.
+    gain bounds the equilibrium defect) and compares the closed form with
+    the waterfilling solver.  probe_min, the least utility of x = N(R) against
+    any opponent play, is the expected value sum(R) / n: sum_j R_j x_j /
+    (x_j + b_j) is convex in the opponent mass b >= 0, sum(b) = n - 1, and
+    its KKT point is b = (n - 1) N(R) (Boyd & Vandenberghe, 5.5.3).
     """
     ratings = _check_trust(trust)
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    if probes < 1:
-        raise ValueError(f"need at least one probe, got {probes}")
-    nr = f1(ratings)
-    gain, deviation, base = _common_belief_defect(ratings, ratings, nr, n)
-    rng = rng or substream(0, "nash-probes")
-    probe_min = np.inf
-    for _ in range(probes):
-        opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
-        probe_min = min(probe_min, float(_bipartite_utility(nr, opponents, ratings)))
-    return EquilibriumReport(gain, deviation, base, ratings.sum() / n, float(probe_min))
+    gain, deviation, base = _common_belief_defect(ratings, ratings, f1(ratings), n)
+    value = ratings.sum() / n
+    return EquilibriumReport(gain, deviation, base, value, value)
 
 
 def measure_epsilon_prime(trust: np.ndarray, belief: np.ndarray, n: int) -> float:

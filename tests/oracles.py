@@ -9,9 +9,10 @@ source at a time from the explicit restarted chain and its dense
 least-squares stationary vector, which shares nothing with the
 fundamental-matrix solve.  Scores are checked against one dense linear solve
 on the user block, which shares nothing with the power iteration.  Ranking
-inversions are counted pair by pair, where the package compares all pairs at
-once.  Scenario files are parsed by the line-by-line loop into a dense
-matrix that `load` used before it parsed edge lines in bulk into an edge list.
+inversions are counted pair by pair, and all at once as the package did
+before it compared them in blocks of rows.  Scenario files are parsed by the
+line-by-line loop into a dense matrix that `load` used before it parsed edge
+lines in bulk into an edge list.
 Hierarchy gains are recomputed by the per-player loop that gave each probe
 row its own profile and tour-count solve, where the package updates one
 solve by a rank-one term per probe row.  Row totals, for row violations and
@@ -23,7 +24,9 @@ round, where the package computes each schedule pass's first fault in
 closed form.  The waterfill solver, the closed-form best response and the
 common-belief defect are kept verbatim as they stood before the package ran
 them as kernels behind one check per call, so the kernels can be held to
-them bit for bit.  The belief-mass drift is counted by the separate trial
+them bit for bit.  The least equilibrium utility over opponent plays is
+sampled by the probe loop the package ran before it reported the minimum
+in closed form.  The belief-mass drift is counted by the separate trial
 loop that measured it before f2_check counted it from the beliefs it
 decodes.  Tests read a graph as a dense matrix through `dense`, which the
 package no longer builds, and the dense forms of the designated chain, tour
@@ -326,6 +329,22 @@ def common_belief_defect_reference(ratings, belief, n):
     return max(0.0, best_utility - base), deviation, base
 
 
+def probe_min_sampled(ratings, n, probes, rng):
+    """Least utility of N(ratings) against sampled opponent plays: the probe
+    loop verify_unique_nash ran before it reported the exact minimum, with
+    its draws from rng unchanged, followed by the m vertices b = (n - 1) e_j
+    where every opponent endorses server j alone.  A sample can only
+    overstate the minimum sum(ratings) / n."""
+    nr = f1(ratings)
+    probe_min = np.inf
+    for _ in range(probes):
+        opponents = rng.dirichlet(np.ones(ratings.size), size=n - 1).sum(axis=0)
+        probe_min = min(probe_min, bipartite_utility_reference(nr, opponents, ratings))
+    for vertex in (n - 1) * np.eye(ratings.size):
+        probe_min = min(probe_min, bipartite_utility_reference(nr, vertex, ratings))
+    return probe_min
+
+
 def hierarchy_gains_reference(trust, fresh_weights, cfg):
     """hierarchy_best_response_gains' per-player loop as it stood before the
     kernels, verbatim, on the references above."""
@@ -527,6 +546,15 @@ def count_inversions_pairwise(rho, trust):
                 whole += 1
             elif rho[hi] == rho[lo]:
                 halves += 1
+    return whole + (halves + 1) // 2
+
+
+def count_inversions_broadcast(rho, trust):
+    """count_inversions as it stood before it compared the pairs in blocks of
+    rows: every pair at once in m x m arrays."""
+    above = trust[:, None] > trust[None, :]
+    whole = int(np.count_nonzero(above & (rho[:, None] < rho[None, :])))
+    halves = int(np.count_nonzero(above & (rho[:, None] == rho[None, :])))
     return whole + (halves + 1) // 2
 
 

@@ -241,6 +241,17 @@ def test_nash_reports_epsilon_prime(scenario, tmp_path, capsys):
     assert utility == pytest.approx(1.2 / 3, abs=1e-9)
 
 
+def test_plain_nash_reads_neither_seed_nor_trials(scenario, tmp_path, capsys):
+    # Without --k nash draws nothing: probe_min is exact, so --seed and
+    # --trials are accepted and leave stdout and nash.csv alone.
+    outputs = []
+    for seed, trials in (("1", "3"), ("9", "40")):
+        out = tmp_path / seed
+        assert main(["nash", str(scenario), "--out", str(out), "--seed", seed, "--trials", trials]) == 0
+        outputs.append((capsys.readouterr().out, (out / "nash.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_nash_requires_trust(tmp_path, capsys):
     path = tmp_path / "nt.trep"
     path.write_text(NO_TRUST, encoding="utf-8")

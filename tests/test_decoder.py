@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from trep.equilibrium import hierarchy_profile, truth_telling_profile
 from trep.repgraph import Config
 from trep.rng import substream
 
-from oracles import count_inversions_pairwise, hoeffding_check_reference
+from oracles import count_inversions_broadcast, count_inversions_pairwise, hoeffding_check_reference
 
 CFG = Config()
 
@@ -142,6 +143,27 @@ def test_count_inversions_matches_pairwise_loop(pair):
     rho, trust = (np.array(values) for values in pair)
     assert count_inversions(rho, trust) == count_inversions_pairwise(rho, trust)
 
+
+
+def test_count_inversions_in_blocks_matches_all_pairs_at_once():
+    # m = 3,000 takes blocks of 349 rows, the last one short; scores and
+    # trust drawn from few values tie often.
+    rng = substream(12, "inversion-blocks")
+    rho, trust = (rng.integers(0, 40, size=3000) / 40 for _ in range(2))
+    assert count_inversions(rho, trust) == count_inversions_broadcast(rho, trust)
+
+
+def test_count_inversions_memory_stays_bounded():
+    # one m x m comparison at m = 10,000 is 100 MB; blocks of rows keep to a few
+    rng = substream(13, "inversion-memory")
+    rho, trust = rng.random(10_000), rng.random(10_000)
+    tracemalloc.start()
+    try:
+        count_inversions(rho, trust)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 # -------------------------------------------------------------- generators
 
