@@ -35,9 +35,9 @@ DEFAULT_EPSILONS = [0.001, 0.005, 0.01, 0.02]
 # Trials are small NumPy calls that hold the interpreter lock, so a thread
 # pool measured slower than a plain loop; the flag stays for old scripts.
 PARALLEL_HELP = "accepted for compatibility and ignored; trials always run serially"
-# Floats a block of hierarchy draws holds in its weights and waterfill rows:
-# the draws of a block share one stacked gains call, and the blocks bound
-# its memory whatever --trials is.
+# Floats a block of hierarchy draws holds in its newcomer weights: the draws
+# of a block share one stacked gains call, and the blocks bound its memory
+# whatever --trials is.
 HIERARCHY_BLOCK = 2**16
 
 
@@ -117,14 +117,14 @@ def cmd_nash(args) -> int:
             raise ValueError(f"k must lie in 1..{n - 1}, got {args.k}")
         ratings = _check_trust(trust)  # once: dirichlet rows are distributions by construction
         nr = f1(ratings)
-        block = max(1, HIERARCHY_BLOCK // ((n - args.k + 3 * ratings.size) * args.k))
+        block = max(1, HIERARCHY_BLOCK // ((n - args.k) * args.k))
         gains, scores = [], []
         for start in range(0, args.trials, block):
             weights = np.array([
                 substream(args.seed, "fresh", draw).dirichlet(np.ones(args.k), size=n - args.k)
                 for draw in range(start, min(start + block, args.trials))
             ])
-            gains.extend(_hierarchy_gains(ratings, nr, weights, cfg.alpha).max(axis=1))
+            gains.extend(_hierarchy_gains(ratings, weights, cfg.alpha).max(axis=1))
             scores.extend(decode(_hierarchy_profile(nr, w), cfg).rho for w in weights)
         drifts = np.abs(np.array(scores) - scores[0]).max(axis=1)  # against the first draw
         rows = [(str(d), _fmt(g), _fmt(r)) for d, (g, r) in enumerate(zip(gains, drifts))]

@@ -139,57 +139,6 @@ def _waterfill(ratings: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return allocation
 
 
-def _waterfill_rows(ratings: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """_waterfill(ratings, row) for every row of a (rows, m) stack of masses,
-    bit for bit, each row nonnegative and finite.
-
-    Each row takes _waterfill's steps on its own entries.  Its non-contested
-    servers sort after its contested ones (a stable sort keeps the contested
-    order), and the cumulative sums past the contested prefix are never read.
-    Only each row's spread total is a loop: NumPy's pairwise sum of a row
-    slice adds in the order of _waterfill's sum, a padded or segmented sum
-    does not.
-    """
-    m = ratings.size
-    supported = ratings > 0
-    if not supported.any():  # nothing is worth anything; split evenly
-        return np.full(masses.shape, 1.0 / m)
-    free = supported & (masses <= 0)
-    free_count = free.sum(axis=1)
-    budget = 1.0 - FREE_SERVER_STAKE * free_count
-    contested = supported & (masses > 0)
-    if not contested.any():  # every supported server is free, in every row at k = 1
-        return np.where(free, (FREE_SERVER_STAKE + budget / free_count)[:, None], 0.0)
-    count = contested.sum(axis=1)
-    allocation = np.where(free, FREE_SERVER_STAKE, 0.0)
-    lonely = count == 0
-    if lonely.any():
-        share = FREE_SERVER_STAKE + budget[lonely] / free_count[lonely]
-        allocation[lonely] = np.where(free[lonely], share[:, None], 0.0)
-
-    rows = np.arange(masses.shape[0])
-    ratio = np.divide(ratings, masses, out=np.full(masses.shape, -np.inf), where=contested)
-    order = (-ratio).argsort(axis=1, kind="stable")
-    opponents = masses[rows[:, None], order]
-    # sqrt(R) * sqrt(b), not sqrt(R * b): the product R * b can underflow to 0.
-    sqrt_gain = np.sqrt(ratings[order]) * np.sqrt(opponents)
-    sqrt_level = sqrt_gain.cumsum(axis=1) / (budget[:, None] + opponents.cumsum(axis=1))
-    column = np.arange(m)
-    ahead = np.divide(sqrt_gain, sqrt_level, out=np.zeros(masses.shape), where=column < count[:, None])
-    size = np.where(ahead > opponents, column + 1, 0).max(axis=1)
-    active = column < size[:, None]
-    level = sqrt_level[rows, np.maximum(size - 1, 0)][:, None]
-    spread = np.divide(sqrt_gain, level, out=np.zeros(masses.shape), where=active)
-    spread = np.maximum(spread - opponents, 0.0)
-    totals = [row[:end].sum() for row, end in zip(spread, size.tolist())]
-    spread *= np.divide(budget, totals, out=np.zeros(rows.size), where=size > 0)[:, None]
-    stuck = (count > 0) & (size == 0)  # the budget is below the rounding of b: no share registers
-    spread[stuck, 0] = budget[stuck]
-    active[stuck, 0] = True
-    allocation[active.nonzero()[0], order[active]] = spread[active]
-    return allocation
-
-
 def best_response_closed_form(trust: np.ndarray, belief: np.ndarray, n: int) -> np.ndarray:
     """Interior best response x_j = n sqrt(R_j R'_j) / sum_k sqrt(R_k R'_k) - (n-1) N(R')_j.
 
@@ -228,10 +177,10 @@ def _closed_form(
 
 def _common_belief_defect(
     ratings: np.ndarray, belief: np.ndarray, nr_belief: np.ndarray, n: int
-) -> tuple[float, float, float]:
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
     """Best unilateral gain when every player endorses the normalized belief,
-    the closed form's distance from the exact best response (NaN where it is
-    undefined), and the base utility of playing N(belief).
+    the base utility of playing N(belief), the exact best response and the
+    closed form (None where it is undefined).
 
     Each player faces opponent mass (n - 1) N(belief); the gain is the exact
     best response's utility, or the closed form's when that is higher, over
@@ -243,8 +192,7 @@ def _common_belief_defect(
     closed = _closed_form(ratings, belief, n, mass)
     rows = (nr_belief, response) if closed is None else (nr_belief, response, closed)
     base, *utilities = _bipartite_utility(np.array(rows), mass, ratings).tolist()
-    deviation = np.nan if closed is None else float(np.abs(response - closed).max())
-    return max(0.0, max(utilities) - base), deviation, base
+    return max(0.0, max(utilities) - base), base, response, closed
 
 
 def verify_unique_nash(trust: np.ndarray, n: int) -> EquilibriumReport:
@@ -260,7 +208,8 @@ def verify_unique_nash(trust: np.ndarray, n: int) -> EquilibriumReport:
     ratings = _check_trust(trust)
     if n < 2:
         raise ValueError(f"need at least 2 players, got {n}")
-    gain, deviation, base = _common_belief_defect(ratings, ratings, f1(ratings), n)
+    gain, base, response, closed = _common_belief_defect(ratings, ratings, f1(ratings), n)
+    deviation = np.nan if closed is None else float(np.abs(response - closed).max())
     value = ratings.sum() / n
     return EquilibriumReport(gain, deviation, base, value, value)
 
@@ -299,13 +248,12 @@ def epsilon_prime_bound(m: int, n: int, epsilon: float) -> float:
 
 
 def _hierarchy_reduction(
-    ratings: np.ndarray, weights: np.ndarray, alpha: float, nr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Visit totals, effective opponent masses and probe utilities of the
-    established players of hierarchy_profile(ratings, weights), where
-    nr = N(ratings), for one (n - k, k) matrix of fresh weights or for each
-    draw of a (draws, n - k, k) stack: shapes (k,), (k, m) and (k,), with
-    the stack's leading axis in front.
+    ratings: np.ndarray, weights: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe utilities and best-response gains of the established players of
+    hierarchy_profile(ratings, weights), for one (n - k, k) matrix of fresh
+    weights or for each draw of a (draws, n - k, k) stack: shape (k,) each,
+    with the stack's leading axis in front.
 
     Established rows endorse no users and fresh rows endorse only established
     ones, so E_u^2 = 0 and the fundamental matrix of tour_counts is exactly
@@ -313,7 +261,8 @@ def _hierarchy_reduction(
     sum_i w[i, t] visits, and fresh players own no server mass.  N does not
     depend on established player p's server row x, so p's expected utility is
     bipartite_utility(x, b_p, R) / v_p, with b_p = (V - v_p) / v_p N(R) and
-    V = sum_t v_t.
+    V = sum_t v_t: sum(R) / V for its row N(R), which is also its server-only
+    best response (see _hierarchy_gains).
 
     p's probe row keeps 0.8 N(R) on the servers and puts user mass d = 0.2 on
     the other established players (on p itself when k = 1): a rank-one update
@@ -321,16 +270,23 @@ def _hierarchy_reduction(
     row p of the new N is e_p + q d and its column sums are v + q v_p d, with
     q = (1 - alpha) / (1 - (1 - alpha) d_p).  Every endorsed server splits
     its pot alike, so the probe utility is sum(R) own / (own v_p + V - v_p)
-    with own = 0.8 (1 + q d_p) + q (0.2 - d_p).
+    with own = 0.8 (1 + q d_p) + q (0.2 - d_p).  Its gain over sum(R) / V,
+    sum(R) (own - 1) (V - v_p) / (V (own v_p + V - v_p)), is taken in that
+    factored form, clamped at +0.0: it is exactly 0 at k = 1, where V = v_p,
+    and negative for k >= 2, where own = 1 - 0.2 alpha < 1.
     """
     keep = 1.0 - alpha
     visits = 1.0 + keep * weights.sum(axis=-2)
-    others = visits.sum(axis=-1, keepdims=True) - visits  # exactly 0 when k = 1: free servers
-    masses = (others / visits)[..., None] * nr
+    total = visits.sum(axis=-1, keepdims=True)
+    others = total - visits  # exactly 0 when k = 1
     self_mass = 0.2 if visits.shape[-1] == 1 else 0.0  # d_p
     q = keep / (1.0 - keep * self_mass)
     own = 0.8 * (1.0 + q * self_mass) + q * (0.2 - self_mass)
-    return visits, masses, ratings.sum() * own / (own * visits + others)
+    reach = own * visits + others
+    value = ratings.sum()
+    # np.maximum(x, 0.0), not (0.0, x): the latter keeps the -0.0 of k = 1
+    gains = np.maximum(value * (own - 1.0) * others / (total * reach), 0.0)
+    return value * own / reach, gains
 
 
 def hierarchy_best_response_gains(
@@ -338,28 +294,30 @@ def hierarchy_best_response_gains(
 ) -> np.ndarray:
     """Best-response gains of the established players in hierarchy_profile().
 
-    Everything comes from _hierarchy_reduction, with no graph and no solve:
-    the base utility of the player's row N(R); the exact server-only best
-    response, which best_response_to_mass solves; and the utility of a probe
-    row that also endorses the other established players.  Other deviations
-    that endorse users are not searched, so that part of each gain is a
-    lower bound.  At the proportional-to-trust profile all gains should
-    vanish regardless of how the fresh players split their endorsements.
+    Everything comes from _hierarchy_reduction, with no graph and no solve.
+    Established player p faces opponent server mass b_p = (V - v_p) / v_p
+    N(R), proportional to R, so R_j / b_pj is the same on every trusted
+    server and N(R) meets the KKT conditions of the waterfill (Boyd &
+    Vandenberghe, 5.5.3): the server-only best response is the player's own
+    row N(R), whose gain is exactly 0 (at k = 1, b_p = 0 and N(R) takes
+    every pot).  What is left is the utility of a probe row that also
+    endorses the other established players.  Other deviations that endorse
+    users are not searched, so that part of each gain is a lower bound.  At
+    the proportional-to-trust profile all gains vanish regardless of how the
+    fresh players split their endorsements.
     """
     ratings, weights = _check_hierarchy(trust, fresh_weights)
-    return _hierarchy_gains(ratings, f1(ratings), weights[None], (config or Config()).alpha)[0]
+    return _hierarchy_gains(ratings, weights[None], (config or Config()).alpha)[0]
 
 
-def _hierarchy_gains(
-    ratings: np.ndarray, nr: np.ndarray, weights: np.ndarray, alpha: float
-) -> np.ndarray:
+def _hierarchy_gains(ratings: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
     """hierarchy_best_response_gains for every draw of a (draws, n - k, k)
-    stack of checked fresh weights, on checked trust and nr = N(trust), as a
-    (draws, k) array: one waterfill call fills every draw's best-response
-    rows, and one utility call scores them and the base rows N(R)."""
-    visits, masses, probe = _hierarchy_reduction(ratings, weights, alpha, nr)
-    rows = np.empty((2, *masses.shape))
-    rows[0] = nr
-    rows[1] = _waterfill_rows(ratings, masses.reshape(-1, nr.size)).reshape(masses.shape)
-    base, best = _bipartite_utility(rows, masses, ratings) / visits
-    return np.maximum(0.0, np.maximum(best, probe) - base)
+    stack of checked fresh weights, on checked trust, as a (draws, k) array.
+
+    No best response is solved: against b_p proportional to N(R), the KKT
+    point of sum_j R_j x_j / (x_j + b_pj) on the simplex has every
+    R_j b_pj / (x_j + b_pj)^2 equal on the trusted servers, which x = N(R)
+    meets, so the server-only gain is 0 and each gain is the probe's
+    max(0, probe - base), read from the visit totals alone.
+    """
+    return _hierarchy_reduction(ratings, weights, alpha)[1]

@@ -49,8 +49,8 @@ CASES = {
     # one established player among six, eleven servers, one untrusted: every
     # opponent mass is zero, so every trusted server is free
     "nash/hierarchy-k1": ["nash", "--k", "1", "--trials", "5", "--seed", "4"],
-    # five established players among eight, ten servers: the gains score
-    # stacks of five rows of ten, past np.add.reduce's 8-wide unroll
+    # five established players among eight, ten servers: every gain is
+    # exactly 0, and the scores of later draws drift from draw 0's by rounding
     "nash/hierarchy-k5": ["nash", "--k", "5", "--trials", "6", "--seed", "3"],
     "noisy/criterion11": [
         "noisy", "--seed", "5", "--trials", "6",

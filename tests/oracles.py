@@ -15,7 +15,9 @@ line-by-line loop into a dense matrix that `load` used before it parsed edge
 lines in bulk into an edge list.
 Hierarchy gains are recomputed by the per-player loop that gave each probe
 row its own profile and tour-count solve, where the package updates one
-solve by a rank-one term per probe row.  Row totals, for row violations and
+solve by a rank-one term per probe row, and by a waterfill per player
+against the opponent masses b_p, which the package does not build: it reads
+a server-only gain of exactly 0.  Row totals, for row violations and
 for renormalization, add each dense row's entries left to right in a loop,
 where `validate` and `load` take every total from one bincount over the edge
 list; adding a zero is exact, so the two agree bit for bit.  A bootstrap
@@ -345,13 +347,24 @@ def probe_min_sampled(ratings, n, probes, rng):
     return probe_min
 
 
+def hierarchy_masses(trust, fresh_weights, cfg):
+    """Visit totals v and opponent server masses b_p = (V - v_p) / v_p N(R)
+    of the established players of hierarchy_profile(trust, fresh_weights),
+    built as the package built them before it read the gains in closed form."""
+    visits = 1.0 + (1.0 - cfg.alpha) * np.asarray(fresh_weights, dtype=float).sum(axis=0)
+    others = visits.sum() - visits
+    return visits, (others / visits)[:, None] * f1(trust)
+
+
 def hierarchy_gains_reference(trust, fresh_weights, cfg):
     """hierarchy_best_response_gains' per-player loop as it stood before the
-    kernels, verbatim, on the references above."""
+    kernels, verbatim, on the references above: a waterfill per player, where
+    the package reads a server-only gain of exactly 0."""
     ratings = np.asarray(trust, dtype=float)
     weights = np.asarray(fresh_weights, dtype=float)
     nr = f1(ratings)
-    visits, masses, probe = _hierarchy_reduction(ratings, weights, cfg.alpha, nr)
+    visits, masses = hierarchy_masses(ratings, weights, cfg)
+    probe = _hierarchy_reduction(ratings, weights, cfg.alpha)[0]
     gains = np.zeros(visits.size)
     for player, (mass, visit) in enumerate(zip(masses, visits)):
         base = bipartite_utility_reference(nr, mass, ratings) / visit

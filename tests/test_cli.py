@@ -284,15 +284,27 @@ def test_nash_hierarchy_builds_one_profile_graph_per_draw(scenario, tmp_path, co
 def test_nash_hierarchy_blocks_of_draws_leave_the_bytes(scenario, tmp_path, monkeypatch, capsys):
     # One stacked gains call per block of draws: blocks of one draw, of
     # three and of every draw write the same files and stdout.  A draw of
-    # n = 7, k = 2 on m = 2 servers counts (n - k + 3 m) k = 22 floats.
+    # n = 7, k = 2 counts (n - k) k = 10 floats of newcomer weights.
     args = ["nash", str(scenario), "--k", "2", "--n", "7", "--trials", "7", "--seed", "4"]
     outputs = []
-    for floats in (1, 3 * 22, trep.cli.HIERARCHY_BLOCK):
+    for floats in (1, 3 * 10, trep.cli.HIERARCHY_BLOCK):
         monkeypatch.setattr(trep.cli, "HIERARCHY_BLOCK", floats)
         out = tmp_path / str(floats)
         assert main(args + ["--out", str(out)]) == 0
         outputs.append((capsys.readouterr().out, (out / "nash.csv").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_nash_hierarchy_gains_print_exactly_zero_for_every_k(tmp_path):
+    # N(R) is each established player's server-only best response and the
+    # probe row never beats it, so every gain is +0.0, whatever k; eleven
+    # servers, one of them untrusted.
+    scenario = Path(__file__).parent / "golden" / "nash" / "hierarchy-k1" / "scenario.trep"
+    for k in range(1, 6):
+        out = tmp_path / str(k)
+        assert main(["nash", str(scenario), "--k", str(k), "--trials", "8", "--out", str(out)]) == 0
+        rows = (out / "nash.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0"] * 8
 
 
 def test_nash_hierarchy_checks_trust_once_per_command(scenario, tmp_path, count_calls):

@@ -11,8 +11,6 @@ from trep.equilibrium import (
     _common_belief_defect,
     _hierarchy_gains,
     _hierarchy_reduction,
-    _waterfill,
-    _waterfill_rows,
     best_response_closed_form,
     best_response_to_mass,
     epsilon_prime_bound,
@@ -36,6 +34,7 @@ from oracles import (
     grid_best_response,
     hierarchy_gains_oracle,
     hierarchy_gains_reference,
+    hierarchy_masses,
     pg_best_response,
     probe_min_sampled,
     probe_profile,
@@ -213,49 +212,6 @@ def test_best_response_matches_the_reference_bit_for_bit(vectors):
 
 
 @st.composite
-def waterfill_stacks(draw):
-    """Trust and a (rows, m) stack of opponent masses, rows in 1..16 and m in
-    1..300, so that a row's spread can pass NumPy's 8-wide unroll and its
-    128-element pairwise block.  Entries come from small palettes of
-    KERNEL_RATING and KERNEL_MASS values plus exact zeros, so worthless and
-    free servers and ties in R / b occur; some rows are all free, some hold
-    1e20 on every server (the budget is below the rounding of b), some are
-    multiples of N(trust), as the hierarchy gains fill them; and some stacks
-    are all free, as every stack is at k = 1."""
-    rows, m = draw(st.integers(1, 16)), draw(st.integers(1, 300))
-    ratings = draw(st.lists(KERNEL_RATING, min_size=1, max_size=6)) + [0.0]
-    masses = draw(st.lists(KERNEL_MASS, min_size=1, max_size=6)) + [0.0]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    trust = rng.choice(ratings, size=m)
-    stack = rng.choice(masses, size=(rows, m))
-    kinds = rng.integers(0, 4, size=rows)
-    stack[kinds == 1] = 0.0
-    stack[kinds == 2] = 1e20
-    if trust.any():
-        scaled = (kinds == 3).nonzero()[0]
-        stack[scaled] = rng.uniform(0.0, 10.0, size=(scaled.size, 1)) * (trust / trust.sum())
-    if draw(st.booleans()):
-        stack[:] = 0.0
-    return trust, stack
-
-
-@settings(max_examples=300, deadline=None)
-@given(waterfill_stacks())
-@example((np.array([0.0, 0.0]), np.array([[0.5, 0.3], [0.0, 0.0]])))  # nothing is worth anything
-@example((np.array([0.5, 0.0]), np.array([[0.0, 0.3], [0.0, 0.0]])))  # every row all free
-@example((np.array([0.5, 0.4, 0.2]), np.array([[0.0, 0.3, 0.1], [0.2, 0.0, 0.0]])))
-@example((np.array([0.5, 1.0]), np.array([[1e20, 1e20], [0.2, 0.3]])))  # no share registers
-@example((np.array([1.0, 0.01]), np.array([[0.1, 5.0]])))  # a contested server left out
-@example((np.array([TINY, TINY]), np.array([[TINY, TINY], [0.0, TINY]])))  # underflowing products
-@example((np.array([0.5, 0.25, 0.5]), np.array([[0.2, 0.1, 0.2]])))  # ties in R / b
-@example((np.array([0.7]), np.array([[0.2], [0.0], [1e20]])))
-def test_waterfill_rows_match_the_waterfill_per_row_bit_for_bit(case):
-    trust, stack = case
-    got = _waterfill_rows(trust, stack)
-    assert same_bits(got, np.array([_waterfill(trust, row) for row in stack]))
-
-
-@st.composite
 def utility_stacks(draw):
     """A stack of 1..8 candidate rows over m servers, m in 1..300 (across
     NumPy's 8-wide unroll and its 128-element pairwise block), with opponent
@@ -313,9 +269,13 @@ def test_common_belief_defect_matches_the_reference_bit_for_bit(vectors, n):
     trust, belief = vectors
     assume(trust.any() and belief.any())
     gain, deviation, base = common_belief_defect_reference(trust, belief, n)
-    got = _common_belief_defect(trust, belief, f1(belief), n)
-    assert got[0] == gain and got[2] == base
-    assert got[1] == deviation or (np.isnan(got[1]) and np.isnan(deviation))
+    got_gain, got_base, response, closed = _common_belief_defect(trust, belief, f1(belief), n)
+    assert got_gain == gain and got_base == base
+    # verify_unique_nash's deviation, taken from these rows
+    if closed is None:
+        assert np.isnan(deviation)
+    else:
+        assert float(np.abs(response - closed).max()) == deviation
     assert measure_epsilon_prime(trust, belief, n) == gain
 
 
@@ -750,11 +710,12 @@ def hierarchy_cases(draw):
 def test_hierarchy_reduction_matches_expected_utilities(case):
     # An established player's utility over its own server row is
     # bipartite_utility(x, b_p, R) / v_p, so the best response to b_p must beat
-    # every server-only row under the real expected utilities.
+    # every server-only row under the real expected utilities, and N(R)
+    # itself is that best response (KKT, with b_p proportional to N(R)).
     trust, fresh_weights, cfg, rows = case
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    visits, masses, _ = _hierarchy_reduction(trust, fresh_weights, cfg.alpha, f1(trust))
+    visits, masses = hierarchy_masses(trust, fresh_weights, cfg)
     for player in range(k):
 
         def utility(row):
@@ -767,6 +728,7 @@ def test_hierarchy_reduction_matches_expected_utilities(case):
             assert abs(reduced - utility(row)) <= 1e-12
         best = utility(best_response_to_mass(trust, masses[player]))
         assert all(best >= utility(row) - 1e-12 for row in rows)
+        assert best <= utility(f1(trust)) + 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -780,7 +742,7 @@ def test_hierarchy_gains_match_the_per_player_loop(case):
     np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
     profile = hierarchy_profile(trust, fresh_weights)
     k, m = fresh_weights.shape[1], trust.size
-    _, _, probe = _hierarchy_reduction(trust, fresh_weights, cfg.alpha, f1(trust))
+    probe = _hierarchy_reduction(trust, fresh_weights, cfg.alpha)[0]
     for player in range(k):
         trial = probe_profile(profile, player, k, m)
         assert abs(probe[player] - expected_utilities(trial, trust, cfg)[player]) <= 1e-12
@@ -803,11 +765,15 @@ def hierarchy_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(hierarchy_stacks())
 def test_hierarchy_gains_match_the_reference_bit_for_bit(case):
-    # One stacked call scores every draw; the public function scores one.
+    # One stacked call scores every draw as the public function scores each;
+    # N(R) is the server-only best response and the probe never beats it, so
+    # every gain is +0.0, and the per-player waterfill loop agrees.
     trust, stack, cfg = case
+    gains = _hierarchy_gains(trust, stack, cfg.alpha)
+    assert same_bits(gains, np.array([hierarchy_best_response_gains(trust, w, cfg) for w in stack]))
+    assert np.all(gains == 0.0) and not np.signbit(gains).any()
     expected = np.array([hierarchy_gains_reference(trust, w, cfg) for w in stack])
-    assert same_bits(_hierarchy_gains(trust, f1(trust), stack, cfg.alpha), expected)
-    assert same_bits(hierarchy_best_response_gains(trust, stack[0], cfg), expected[0])
+    np.testing.assert_allclose(gains, expected, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
