@@ -4,6 +4,7 @@ and simulate bootstrapping runs from scenario files."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -52,16 +53,27 @@ def _trial_count(text: str) -> int:
 
 
 def _write_text(path: Path, text: str) -> None:
-    # mkdir(exist_ok=True) raises and catches FileExistsError on an existing
-    # directory, so one stat comes first; on a file it still raises that error
-    if not path.parent.is_dir():
+    # One open and one write, with the mode open(path, "wb") gives a new
+    # file.  The directory is made only when the open finds it missing, so
+    # an --out that names a file still fails in mkdir, with FileExistsError.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(path, flags, 0o666)
+    except (FileNotFoundError, NotADirectoryError):
         path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        fd = os.open(path, flags, 0o666)
+    try:
+        data = memoryview(text.encode("utf-8"))
+        while data:  # a write may take fewer bytes than it is given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _load_scenario(args) -> tuple:
     graph, cfg = load(args.scenario)
+    if args.alpha is None and args.tol is None and args.max_iters is None:
+        return graph, cfg
     cfg = Config(
         alpha=args.alpha if args.alpha is not None else cfg.alpha,
         tol=args.tol if args.tol is not None else cfg.tol,

@@ -7,6 +7,7 @@ the remaining n columns endorse users.  Servers own no edges.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import re
 import warnings
@@ -214,19 +215,25 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     validate's messages for the first LISTED_ROWS bad rows, computed from
     arrays of the edges' size, and counts the rest.
     """
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-        text = fh.read()
+    with open(path, "rb", buffering=0) as fh:  # one read, no text layer
+        data = fh.readall()
+    # A leading byte-order mark is dropped.  splitlines ends a line at \r\n
+    # and at a lone \r, as a text-mode read would; such a read also takes a
+    # file holding no more than the start of a mark for an empty one.
+    text = "" if codecs.BOM_UTF8.startswith(data) else data.decode("utf-8-sig")
     n, m, alpha, trust, rows, cols, weights = _parse(text)
     keep = weights != 0  # zeros add nothing to a row's total; the copies are the graph's own
     rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    edged = np.count_nonzero(np.diff(rows)) + 1 if rows.size else 0  # rows are sorted
+    edged = np.count_nonzero(rows[1:] > rows[:-1]) + 1 if rows.size else 0  # rows are sorted
     wide = n - edged > LISTED_ROWS
     # each edge's row, or if wide its rank among the edged users (no array of n entries)
     index = np.cumsum(np.diff(rows, prepend=-1) != 0) - 1 if wide else rows
     totals = np.bincount(index, weights)
     drift = np.abs(totals - 1.0)
-    drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[index]
-    weights[drifting] /= totals[index[drifting]]
+    exact = (drift <= ROW_SUM_TOL).all()  # a NaN total is not
+    if not exact:
+        drifting = ((drift > ROW_SUM_TOL) & (drift < ROW_SUM_RENORM))[index]
+        weights[drifting] /= totals[index[drifting]]
     if wide:  # the first LISTED_ROWS + edged rows hold the first LISTED_ROWS bad rows
         cut = np.searchsorted(rows, LISTED_ROWS + edged)
         listed = _row_violations(LISTED_ROWS + edged, rows[:cut], cols[:cut], weights[:cut], LISTED_ROWS)
@@ -237,6 +244,10 @@ def load(path: str | Path) -> tuple[RepGraph, Config]:
     # pair at most once, so from_coo would only check that again
     graph = RepGraph.__new__(RepGraph)
     graph._fill(n, m, rows, cols, weights, trust)
+    # validate adds the same totals over these arrays, and _parse refused
+    # negative weights and every bad trust line: when each of the n rows
+    # sums to 1 as written, validate would find nothing
+    graph._valid = bool(exact) and n >= 2 and m >= 1 and totals.size == n
     _require_valid(graph)
     return graph, Config(alpha=alpha)
 
@@ -297,7 +308,7 @@ def _read_edges(lines: list[str], n: int, m: int, text: str) -> tuple | None:
             table = np.loadtxt(lines, _EDGE_LINE, comments="#", ndmin=1)
     except (ValueError, OverflowError, Warning):
         return None
-    if not np.all(table["key"] == "edge"):
+    if not (table["key"] == "edge").all():
         return None
     if ("\0" in text or not text.isascii()) and any(map(_FOREIGN.match, lines)):
         return None
@@ -308,9 +319,10 @@ def _read_edges(lines: list[str], n: int, m: int, text: str) -> tuple | None:
     if not (in_range and weights.min() >= 0):
         return None
     keys = rows * (m + n) + cols  # below n * (m + n), which the line loop bounds below 2**62
-    if not (np.diff(keys) > 0).all():  # a file save() wrote is sorted: one diff proves it
+    if not (keys[1:] > keys[:-1]).all():  # a file save() wrote is sorted: one pass proves it
         order = np.argsort(keys)
-        if np.any(np.diff(keys[order]) == 0):
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():
             return None
         rows, cols, weights = rows[order], cols[order], weights[order]
     return rows, cols, weights

@@ -137,6 +137,57 @@ def test_a_missing_nested_out_is_created(scenario, tmp_path):
     assert sorted(path.name for path in out.iterdir()) == ["bootstrap.csv", "bootstrap.log"]
 
 
+def test_a_shorter_output_replaces_a_longer_one_byte_for_byte(scenario, tmp_path):
+    # The second run writes fewer bytes into the files the first one wrote:
+    # each file must hold exactly the new bytes, as in a fresh directory.
+    name, *args = COMMANDS["bootstrap"]
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main([name, str(scenario), *args, "--trials", "6", "--out", str(out)]) == 0
+    longer = (out / "bootstrap.csv").read_bytes()
+    assert main([name, str(scenario), *args, "--trials", "1", "--out", str(out)]) == 0
+    assert main([name, str(scenario), *args, "--trials", "1", "--out", str(fresh)]) == 0
+    shorter = (fresh / "bootstrap.csv").read_bytes()
+    assert len(shorter) < len(longer)
+    for file in ("bootstrap.csv", "bootstrap.log"):
+        assert (out / file).read_bytes() == (fresh / file).read_bytes()
+
+
+def test_a_new_output_gets_the_mode_a_binary_open_gives(scenario, tmp_path):
+    # 0o666 less the umask, as open(path, "wb") creates a file, in an --out
+    # that exists and in one the command makes
+    mask = os.umask(0o027)
+    try:
+        for out in (tmp_path, tmp_path / "made"):
+            assert main(["decode", str(scenario), "--out", str(out)]) == 0
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(mask)
+    modes = {path.stat().st_mode & 0o777 for path in tmp_path.glob("**/*.csv")}
+    assert len(list(tmp_path.glob("**/*.csv"))) == 2
+    assert modes == {(tmp_path / "reference").stat().st_mode & 0o777} == {0o640}
+
+
+def test_the_scenario_config_is_loads_own_unless_an_option_overrides_it(scenario, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(trep.cli, "load", lambda path: loaded.append(load(path)) or loaded[-1])
+    parser = trep.cli.build_parser()
+    _, cfg = trep.cli._load_scenario(parser.parse_args(["decode", str(scenario)]))
+    assert cfg is loaded[-1][1]
+    _, cfg = trep.cli._load_scenario(parser.parse_args(["decode", str(scenario), "--tol", "1e-9"]))
+    assert cfg == Config(alpha=0.15, tol=1e-9)
+
+
+def test_a_file_that_is_not_utf8_exits_2_with_the_decode_error(scenario, tmp_path, capsys):
+    bad = tmp_path / "bad.trep"
+    bad.write_bytes(scenario.read_bytes().replace(b"users", b"us\xffers"))
+    out = tmp_path / "out"
+    assert main(["decode", str(bad), "--out", str(out)]) == 2
+    message = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "declarations, counts",
     [

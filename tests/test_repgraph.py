@@ -1,5 +1,7 @@
+import codecs
 import contextlib
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -340,6 +342,58 @@ def test_load_drops_a_leading_byte_order_mark(tmp_path):
     np.testing.assert_array_equal(graph.trust, expected.trust)
     np.testing.assert_array_equal(dense(graph), dense(expected))
     np.testing.assert_array_equal(load_oracle(marked)[4], dense(expected))
+
+
+GOLDEN_SCENARIO = Path(__file__).parent / "golden" / "decode" / "criterion11" / "scenario.trep"
+LINE_ENDS = {
+    "lf": lambda data: data,
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "bom": lambda data: codecs.BOM_UTF8 + data,
+    "bom-crlf": lambda data: codecs.BOM_UTF8 + data.replace(b"\n", b"\r\n"),
+}
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["valid", "bad-line"])
+def test_load_reads_crlf_cr_and_marked_copies_as_the_plain_file(tmp_path, bad):
+    # load reads bytes and splits lines with splitlines, which ends a line at
+    # \r\n and at a lone \r as a text-mode read does: every copy loads to the
+    # same arrays, or fails at the same line
+    data = GOLDEN_SCENARIO.read_bytes()
+    if bad:
+        data = data.replace(b"edge 2 2 ", b"edge 2 x ")
+    outcomes = {}
+    for name, convert in LINE_ENDS.items():
+        path = tmp_path / f"{name}.trep"
+        path.write_bytes(convert(data))
+        outcomes[name] = _outcome(load, path)
+        expected = _outcome(load_oracle, path)  # reads in text mode
+        if bad:
+            assert type(outcomes[name]) is type(expected) is ParseError
+            assert (str(outcomes[name]), outcomes[name].lineno) == (str(expected), expected.lineno)
+        else:
+            np.testing.assert_array_equal(dense(outcomes[name][0]), expected[-1])
+    plain = outcomes.pop("lf")
+    for name, got in outcomes.items():
+        if bad:
+            assert (str(got), got.lineno) == (str(plain), plain.lineno) == ("line 9: edge target must be an integer, got 'x'", 9)
+            continue
+        (graph, cfg), (expected, expected_cfg) = got, plain
+        assert (graph.n, graph.m, cfg) == (expected.n, expected.m, expected_cfg), name
+        for field in ("rows", "cols", "weights", "trust"):
+            assert getattr(graph, field).tobytes() == getattr(expected, field).tobytes(), (name, field)
+
+
+@pytest.mark.parametrize("data", [b"", b"\xef", b"\xef\xbb", b"\xef\xbb\xbf"], ids=["empty", "1", "2", "3"])
+def test_load_reads_a_file_of_at_most_a_byte_order_mark_as_empty(tmp_path, data):
+    # A text-mode read keeps the start of a mark back for the next chunk and
+    # so returns an empty text at the end of the file; a strict decode of b"\xef"
+    # would raise UnicodeDecodeError instead of the missing-header error
+    path = tmp_path / "g.trep"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as got:
+        load(path)
+    assert (str(got.value), got.value.lineno) == ("line 1: missing 'trep v1' header", 1)
 
 
 @pytest.mark.parametrize(
@@ -721,12 +775,22 @@ def _scenario(edges, n=2):
 @example("trep v1\nusers 100000000000000000000\nservers 1\nalpha 0.15\nedge 1 1 1\n")
 @example("trep v1\nservers 100000000000000000000\nusers 2\nalpha 0.15\nedge 1 1 1\nedge 2 1 1\n")
 @example("trep v1\nusers 2147483648\nservers 0\nalpha 0.15\nedge 1 1 1\n")
+# load marks a graph valid without validate when each of its n rows sums to
+# 1 as written; these files it must still refuse with validate's message: a
+# row that drifts past renormalization, an edgeless last row (every other
+# row sums to 1) and one user whose row sums to 1 (the NaN weight and the no
+# servers examples above are two more)
+@example(_scenario(["edge 1 1 1.000001", "edge 2 1 1"]))
+@example(_scenario(["edge 1 1 1", "edge 2 1 1"], n=3))
+@example(_scenario(["edge 1 1 1"], n=1))
+@example("trep v1\nusers 2\nservers 0\nalpha 0.15\nedge 1 2 1\nedge 2 1 1\n")
 def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     # load converts the edge block in bulk and, should that fail, resumes the
     # line loop there; either way it must agree with the dense line-by-line
     # oracle: the same graph (weights bit-equal; a -0.0 weight reads +0.0, as
     # zero weights are dropped), or the same error type, message and line
-    # number.  Either way it reads the file in one pass.
+    # number.  Either way it reads the file in one pass, and validate finds
+    # nothing wrong with a graph it returns.
     path = tmp_path_factory.getbasetemp() / "property.trep"
     path.write_text(text, encoding="utf-8")
     expected = _outcome(load_oracle, path)
@@ -741,6 +805,7 @@ def test_load_matches_line_by_line_oracle(tmp_path_factory, text):
     assert not isinstance(got, Exception), got
     n, m, alpha, trust, edges = expected
     graph, cfg = got
+    assert validate(graph) == []
     assert (graph.n, graph.m, cfg.alpha) == (n, m, alpha)
     assert (graph.trust is None) == (trust is None)
     if trust is not None:
@@ -784,6 +849,57 @@ def test_load_reads_each_line_once(tmp_path, text, tables, scans):
         assert (type(got), str(got)) == (type(expected), str(expected))
     else:
         np.testing.assert_array_equal(dense(got[0]), expected[-1])
+
+
+def _unchecked(text):
+    """The graph of a sorted scenario file with one-token declarations,
+    built without a check."""
+    fields = [line.split() for line in text.splitlines()]
+    counts = {key: int(value) for key, value in (f for f in fields if f[0] in ("users", "servers"))}
+    edges = [(int(i) - 1, int(j) - 1, float(w)) for key, i, j, w in (f for f in fields if f[0] == "edge")]
+    rows, cols, weights = zip(*edges)
+    return RepGraph.from_coo(counts["users"], counts["servers"], rows, cols, weights)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_scenario(["edge 1 1 1.000001", "edge 2 1 1"]), "row 1 sums to 1.000001, expected 1"),
+        (_scenario(["edge 1 1 1", "edge 2 1 1"], n=3), "row 3 is all zeros: every user must endorse someone"),
+        (_scenario(["edge 1 1 nan", "edge 2 1 1"]), "row 1 sums to nan, expected 1"),
+        (_scenario(["edge 1 1 1"], n=1), "n must be at least 2, got 1"),
+        ("trep v1\nusers 2\nservers 0\nalpha 0.15\nedge 1 2 1\nedge 2 1 1\n", "m must be at least 1, got 0"),
+    ],
+    ids=["drifting-row", "edgeless-last-row", "nan-weight", "one-user", "no-servers"],
+)
+def test_load_refuses_what_validate_refuses_with_its_message(tmp_path, text, message):
+    path = tmp_path / "g.trep"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as got:
+        load(path)
+    assert type(got.value) is ValueError
+    assert str(got.value) == message == "; ".join(validate(_unchecked(text)))
+
+
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        (MINIMAL, 0),
+        (MINIMAL.replace("edge 1 2 0.5", "edge 1 2 0.5000000001"), 1),  # renormalized
+        (MINIMAL.replace("users 2", "users 3"), 1),  # an edgeless last row
+    ],
+    ids=["exact", "renormalized", "edgeless-last-row"],
+)
+def test_load_calls_validate_only_when_a_row_does_not_sum_to_one(tmp_path, monkeypatch, text, calls):
+    # load adds each row's total once; a file whose rows all sum to 1 as
+    # written needs no second pass, and every other file gets validate's
+    seen = []
+    monkeypatch.setattr(repgraph, "validate", lambda graph: seen.append(graph) or validate(graph))
+    path = tmp_path / "g.trep"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.suppress(ValueError):
+        load(path)
+    assert len(seen) == calls
 
 
 @settings(max_examples=25, deadline=None)
